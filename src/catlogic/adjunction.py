@@ -11,6 +11,11 @@ method (labelled partitions of the target's atoms) so it has teeth.
 
 Lang is covariant on homs: lang_hom(h: B' -> B) runs Lang(B') -> Lang(B) by
 conjugation with the canonical isomorphisms.
+
+transpose and untranspose are the plain maps across the bijection;
+check_adjunction verifies their round trip once per morphism and samples
+naturality triples by index (its docstring gives the order). lang, syn and
+canonical_iso each keep at most CACHE_SIZE entries.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from itertools import product
 from .boolalg import (
     BoolHom,
     FiniteBooleanAlgebra,
-    LindenbaumAlgebra,
     enumerate_homs,
     lindenbaum_algebra,
     verify_hom,
@@ -43,6 +47,7 @@ from .kernel import (
 )
 
 LANG_ATOM_BOUND = 4
+CACHE_SIZE = 128  # holds every algebra and theory of one brain audit
 BLOCK_ENUM_BOUND = 2**22
 DEFAULT_SEED = 20_260_809
 NATURALITY_EXHAUSTIVE_LIMIT = 10_000
@@ -53,7 +58,7 @@ def _iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lang(B: FiniteBooleanAlgebra, atom_bound: int = LANG_ATOM_BOUND) -> Theory:
     """The diagram theory of B: a letter per element, axioms per table entry.
 
@@ -84,19 +89,15 @@ def lang(B: FiniteBooleanAlgebra, atom_bound: int = LANG_ATOM_BOUND) -> Theory:
     )
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def syn(theory: Theory) -> FiniteBooleanAlgebra:
     """Syn of a propositional theory: its Lindenbaum algebra."""
-    return _lindenbaum(theory).algebra
-
-
-@lru_cache(maxsize=None)
-def _lindenbaum(theory: Theory) -> LindenbaumAlgebra:
     if theory.fragment is not Fragment.PROP:
         raise FragmentViolationError(f"theory {theory.name} is not propositional")
-    return lindenbaum_algebra(check_well_formed(theory))
+    return lindenbaum_algebra(check_well_formed(theory)).algebra
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     """The verified isomorphism B -> Syn(Lang(B)).
 
@@ -104,9 +105,9 @@ def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     homomorphism B -> 2, i.e. a principal ultrafilter; its generating atom is
     the meet of the elements it sends to true.
     """
-    L = _lindenbaum(lang(B))
+    L = syn(lang(B))
     atom_map = []
-    for assignment in L.algebra.atom_labels:
+    for assignment in L.atom_labels:
         acc = B.top
         for e, value in enumerate(assignment.values):
             if value:
@@ -114,7 +115,7 @@ def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
         if not B.is_atom(acc):  # pragma: no cover - diagram axioms force this
             raise AssertionError("diagram-theory assignment is not an ultrafilter")
         atom_map.append(acc.bit_length() - 1)
-    iso = BoolHom(B, L.algebra, tuple(atom_map))
+    iso = BoolHom(B, L, tuple(atom_map))
     assert iso.is_isomorphism, "Syn(Lang(B)) has the wrong atom count"
     assert verify_hom(iso), "canonical comparison map is not a homomorphism"
     return iso
@@ -152,33 +153,14 @@ def lang_hom(h: BoolHom) -> TheoryMorphism:
     return TheoryMorphism(lang(h.source), lang(h.target), conj)
 
 
-def _transpose_raw(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
+def transpose(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
+    """Move f: Lang(B) -> T across the bijection to a hom B -> Syn(T)."""
     return f.hom.compose(canonical_iso(B))
 
 
-def _untranspose_raw(B: FiniteBooleanAlgebra, T: Theory, g: BoolHom) -> TheoryMorphism:
-    return TheoryMorphism(lang(B), T, g.compose(canonical_iso(B).inverse()))
-
-
-def transpose(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
-    """Move f: Lang(B) -> T across the bijection to a hom B -> Syn(T).
-
-    The inverse transposition is applied to the result and compared, so
-    every call verifies its own round trip.
-    """
-    g = _transpose_raw(B, f)
-    assert _untranspose_raw(B, f.target, g).hom == f.hom, "transpose round trip failed"
-    return g
-
-
 def untranspose(B: FiniteBooleanAlgebra, T: Theory, g: BoolHom) -> TheoryMorphism:
-    """Inverse transposition: a hom B -> Syn(T) as a morphism Lang(B) -> T.
-
-    Verified per call against the forward direction.
-    """
-    f = _untranspose_raw(B, T, g)
-    assert _transpose_raw(B, f) == g, "untranspose round trip failed"
-    return f
+    """Inverse transposition: a hom B -> Syn(T) as a morphism Lang(B) -> T."""
+    return TheoryMorphism(lang(B), T, g.compose(canonical_iso(B).inverse()))
 
 
 def enumerate_homs_by_blocks(
@@ -297,8 +279,14 @@ def check_adjunction(
     code paths, checks that transposition is a bijection with inverse
     untransposition, and checks naturality squares
     transpose(t . f . lang(b)) = syn(t) . transpose(f) . b over auxiliary
-    objects: exhaustive when at most 10**4 triples exist, else a seeded
-    500-triple sample.
+    objects. Every left and right morphism is transposed once and its round
+    trip verified here; transpose itself does not re-verify.
+
+    Naturality triples are indexed in the nested order (B', b) x (T', t) x f:
+    B' of 1 then 2 atoms, T' being T (only while Syn(T) has at most 2 atoms)
+    then the empty theory, each hom list in enumeration order. At most 10**4
+    triples are all checked in index order; beyond that, 500 indices drawn by
+    random.Random(seed).randrange(total) are decoded in mixed radix.
     """
     if transpose_fn is None:
         transpose_fn = transpose
@@ -306,16 +294,16 @@ def check_adjunction(
     synT = syn(T)
     counterexamples: list[dict] = []
 
-    left = theory_morphisms(langB, T)
+    left = [TheoryMorphism(langB, T, h) for h in enumerate_homs(canonical_iso(B).target, synT)]
     right = enumerate_homs_by_blocks(B, synT)
     expected = B.atom_count ** synT.atom_count
+    transposed = [transpose_fn(B, f) for f in left]
 
     right_index = {images: j for j, images in enumerate(right)}
     pairing: list[tuple[int, int]] = []
     seen: set[int] = set()
     bijection_ok = len(left) == len(right)
-    for i, f in enumerate(left):
-        g = transpose_fn(B, f)
+    for i, g in enumerate(transposed):
         key = _atom_images(g)
         j = right_index.get(key)
         if j is None or j in seen:
@@ -336,10 +324,8 @@ def check_adjunction(
         bijection_ok = False
 
     round_trip_ok = True
-    for i, f in enumerate(left):
-        g = transpose_fn(B, f)
-        back = untranspose(B, T, g)
-        if back.hom != f.hom:
+    for i, (f, g) in enumerate(zip(left, transposed)):
+        if untranspose(B, T, g).hom != f.hom:
             round_trip_ok = False
             counterexamples.append({"id": f"rt:left:{i}", "kind": "round-trip", "side": "left", "index": i})
     for j, images in enumerate(right):
@@ -352,26 +338,26 @@ def check_adjunction(
     # Naturality: vary B through b: B' -> B and T through t: T -> T'.
     # Keeping T as its own aux target is affordable only while its endo-hom
     # set is small.
-    aux_algebras = [FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2)]
-    aux_theories = [_aux_empty_theory()]
+    aux = _aux_empty_theory()
+    aux_theories = [(aux, syn(aux))]
     if synT.atom_count <= 2:
-        aux_theories.insert(0, T)
-    triples = []
-    for Bp in aux_algebras:
-        for b in enumerate_homs(Bp, B):
-            for Tp in aux_theories:
-                for t in theory_morphisms(T, Tp):
-                    for f in left:
-                        triples.append((Bp, b, Tp, t, f))
-    total = len(triples)
+        aux_theories.insert(0, (T, synT))
+    aux_algebras = (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
+    bs = [(Bp, b, lang_hom(b)) for Bp in aux_algebras for b in enumerate_homs(Bp, B)]
+    ts = [TheoryMorphism(T, Tp, h) for Tp, synTp in aux_theories for h in enumerate_homs(synT, synTp)]
+    total = len(bs) * len(ts) * len(left)
+    indices = range(total)
     if total > NATURALITY_EXHAUSTIVE_LIMIT:
         rng = random.Random(seed)
-        triples = [triples[rng.randrange(total)] for _ in range(NATURALITY_SAMPLES)]
+        indices = [rng.randrange(total) for _ in range(NATURALITY_SAMPLES)]
 
     naturality_ok = True
-    for idx, (Bp, b, Tp, t, f) in enumerate(triples):
-        lhs = transpose_fn(Bp, t.compose(f).compose(lang_hom(b)))
-        rhs = t.hom.compose(transpose_fn(B, f)).compose(b)
+    for idx, index in enumerate(indices):
+        ib, rest = divmod(index, len(ts) * len(left))
+        it, i = divmod(rest, len(left))
+        (Bp, b, lang_b), t, f = bs[ib], ts[it], left[i]
+        lhs = transpose_fn(Bp, t.compose(f).compose(lang_b))
+        rhs = t.hom.compose(transposed[i]).compose(b)
         if lhs != rhs:
             naturality_ok = False
             counterexamples.append(
@@ -393,7 +379,7 @@ def check_adjunction(
         bijection_ok=bijection_ok,
         round_trip_ok=round_trip_ok,
         naturality_ok=naturality_ok,
-        naturality_checked=len(triples),
+        naturality_checked=len(indices),
         naturality_total=total,
         seed=seed,
         counterexamples=counterexamples,

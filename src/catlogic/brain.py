@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adjunction import TheoryMorphism, check_adjunction, lang, lang_hom
+from .adjunction import DEFAULT_SEED, TheoryMorphism, check_adjunction, lang, lang_hom
 from .boolalg import BoolHom, FiniteBooleanAlgebra
 from .dsl import _Lexer
 from .errors import (
@@ -244,22 +244,17 @@ def mind_of_brain(g: BrainGraph) -> MindGraph:
     return MindGraph(g.name, g, theories, morphisms)
 
 
-def audit_adjunction(g: BrainGraph, seed: int | None = None, transpose_fn=None) -> list[dict]:
+def audit_adjunction(g: BrainGraph, seed: int = DEFAULT_SEED, transpose_fn=None) -> list[dict]:
     """Run the hom-set bijection audit for every (neuron, neuron) pair.
 
     Pairs the logic algebra of one neuron with the mind theory of another;
     returns one record per ordered pair with the full report attached.
     """
-    from .adjunction import DEFAULT_SEED
-
-    mind = mind_of_brain(g)
+    theories = {n.id: lang(n.logic) for n in g.neurons}
     out = []
     for a in g.neurons:
         for b in g.neurons:
-            kwargs = {"seed": DEFAULT_SEED if seed is None else seed}
-            if transpose_fn is not None:
-                kwargs["transpose_fn"] = transpose_fn
-            report = check_adjunction(a.logic, mind.theories[b.id], **kwargs)
+            report = check_adjunction(a.logic, theories[b.id], seed=seed, transpose_fn=transpose_fn)
             out.append(
                 {
                     "id": f"adjunction:{a.id}:{b.id}",

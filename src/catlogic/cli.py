@@ -492,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--init", help="comma list like n1=0,n2=silent")
     b = bsub.add_parser("export", help="emit DOT")
     b.add_argument("path")
-    b.add_argument("--dot", action="store_true", default=True, help="DOT output (the only format)")
     b.add_argument("--mind", action="store_true", help="export the mind image instead")
 
     return parser

@@ -219,23 +219,32 @@ def rewrite_normal_form(term: Term, rules, step_cap: int = _REWRITE_STEP_CAP) ->
 # The normalize operation
 
 
+def _normalizer(theory: Theory, sig: GroupSignature | None) -> Callable[[Term], Term]:
+    """The theory's normal-form function: the free-group word decision when
+    sig is its detected group signature, else its rewrite system."""
+    if sig is not None:
+
+        def by_words(term: Term) -> Term:
+            names = sorted({v.name for v in _vars_of(term)})
+            generators = [Variable(n, sig.sort) for n in names]
+            word = word_of_term(term, sig, {n: i for i, n in enumerate(names)})
+            return term_of_word(word, sig, generators)
+
+        return by_words
+    if theory.rewrites:
+        return lambda term: rewrite_normal_form(term, theory.rewrites)
+    raise NoNormalizerError(
+        f"theory {theory.name} is not a group presentation and declares no rewrite system"
+    )
+
+
 def normalize(theory: Theory, term: Term) -> Term:
     """Unique normal form of a term under the theory's decision procedure.
 
     Idempotent; terms provably equal under the axioms share a normal form
     (for a group presentation this is the free-group word decision).
     """
-    sig = detect_group_presentation(theory)
-    if sig is not None:
-        names = sorted({v.name for v in _vars_of(term)})
-        generators = [Variable(n, sig.sort) for n in names]
-        word = word_of_term(term, sig, {n: i for i, n in enumerate(names)})
-        return term_of_word(word, sig, generators)
-    if theory.rewrites:
-        return rewrite_normal_form(term, theory.rewrites)
-    raise NoNormalizerError(
-        f"theory {theory.name} is not a group presentation and declares no rewrite system"
-    )
+    return _normalizer(theory, detect_group_presentation(theory))(term)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +373,7 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
         raise FragmentViolationError(f"theory {theory.name} is not equational")
     check_well_formed(theory)
     sig = detect_group_presentation(theory)
-    if sig is None and not theory.rewrites:
-        raise NoNormalizerError(
-            f"theory {theory.name} is not a group presentation and declares no rewrite system"
-        )
+    norm = _normalizer(theory, sig)
 
     from itertools import product as _product
 
@@ -381,7 +387,7 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
         if sig is not None:
             gens = [v for v in ctx.variables]  # single-sorted by detection
             return [term_of_word(w, sig, gens) for w in reduced_words(len(gens), depth_bound)]
-        return _terms_to_depth(theory, ctx.variables, sort, depth_bound)
+        return _terms_to_depth(theory, norm, ctx.variables, sort, depth_bound)
 
     hom_cache: dict[tuple[Context, Context], tuple] = {}
 
@@ -398,11 +404,11 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
         if f.target != g.source:
             raise ValueError("morphisms not composable")
         mapping = dict(zip(g.source.variables, f.terms))
-        terms = tuple(normalize(theory, substitute(t, mapping)) for t in g.terms)
+        terms = tuple(norm(substitute(t, mapping)) for t in g.terms)
         return SynMorphism(f.source, g.target, terms)
 
     def identity(ctx: Context) -> SynMorphism:
-        return SynMorphism(ctx, ctx, tuple(normalize(theory, v) for v in ctx.variables))
+        return SynMorphism(ctx, ctx, tuple(norm(v) for v in ctx.variables))
 
     def random_object(rng: random.Random) -> Context:
         return rng.choice(objects)
@@ -425,7 +431,7 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
     )
 
 
-def _terms_to_depth(theory: Theory, variables, sort: Sort, depth: int) -> list[Term]:
+def _terms_to_depth(theory: Theory, norm, variables, sort: Sort, depth: int) -> list[Term]:
     """Normal forms of all terms of tree depth <= depth at the given sort."""
     by_depth: dict[int, dict[Sort, list[Term]]] = {}
     level0: dict[Sort, list[Term]] = {s: [] for s in theory.sorts}
@@ -452,7 +458,7 @@ def _terms_to_depth(theory: Theory, variables, sort: Sort, depth: int) -> list[T
     seen: set[Term] = set()
     out: list[Term] = []
     for t in by_depth[depth][sort]:
-        nf = normalize(theory, t)
+        nf = norm(t)
         if nf not in seen:
             seen.add(nf)
             out.append(nf)

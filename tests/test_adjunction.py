@@ -15,6 +15,7 @@ from catlogic.adjunction import (
     untranspose,
 )
 from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra, enumerate_homs, verify_hom
+from catlogic.dsl import parse_file
 from catlogic.errors import CapacityExceededError, FragmentViolationError
 from catlogic.kernel import Fragment, Theory
 
@@ -176,6 +177,64 @@ class TestCheckAdjunction:
         assert rep.counterexamples
         ids = {c["id"] for c in rep.counterexamples}
         assert len(ids) == len(rep.counterexamples)  # replayable: unique ids
+
+    def test_sampled_naturality_matches_materialised_reference(self):
+        (theory,) = parse_file(
+            "theory FIVE prop { letters x, y, z; axiom or(x, y); axiom not(and(x, and(y, z))); }"
+        )
+        B, seed = FiniteBooleanAlgebra(3), 41
+        assert syn(theory).atom_count == 5
+
+        def corrupt(A, f):
+            g = transpose(A, f)
+            if A.atom_count == 3:
+                return BoolHom(g.source, g.target, tuple((i + 1) % 3 for i in g.atom_map))
+            return g
+
+        rep = check_adjunction(B, theory, seed=seed, transpose_fn=corrupt)
+
+        left = theory_morphisms(lang(B), theory)
+        aux = Theory(name="AUX", fragment=Fragment.PROP)
+        triples = [
+            (Bp, b, t, f)
+            for Bp in (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
+            for b in enumerate_homs(Bp, B)
+            for t in theory_morphisms(theory, aux)
+            for f in left
+        ]
+        rng = random.Random(seed)
+        sample = [triples[rng.randrange(len(triples))] for _ in range(500)]
+        expected = []
+        for idx, (Bp, b, t, f) in enumerate(sample):
+            lhs = corrupt(Bp, t.compose(f).compose(lang_hom(b)))
+            rhs = t.hom.compose(corrupt(B, f)).compose(b)
+            if lhs != rhs:
+                expected.append(
+                    {
+                        "id": f"nat:{idx}",
+                        "kind": "naturality",
+                        "b_atom_map": list(b.atom_map),
+                        "b_source_atoms": Bp.atom_count,
+                        "t_atom_map": list(t.hom.atom_map),
+                        "f_atom_map": list(f.hom.atom_map),
+                    }
+                )
+
+        assert rep.naturality_total == len(triples) == 10935
+        assert rep.naturality_checked == 500
+        assert expected
+        assert [c for c in rep.counterexamples if c["id"].startswith("nat:")] == expected
+
+    def test_transpose_called_once_per_morphism_and_sample(self, xor_pair):
+        calls = []
+
+        def counting(B, f):
+            calls.append(B)
+            return transpose(B, f)
+
+        rep = check_adjunction(FiniteBooleanAlgebra(2), xor_pair, transpose_fn=counting)
+        assert rep.passed
+        assert len(calls) == rep.left_count + rep.right_count + rep.naturality_checked
 
 
 class TestLangFunctorial:

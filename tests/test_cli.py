@@ -156,8 +156,10 @@ class TestAdjoint:
         from catlogic import adjunction
         from catlogic.boolalg import BoolHom
 
+        transpose = adjunction.transpose
+
         def corrupt(B, f):
-            g = adjunction._transpose_raw(B, f)
+            g = transpose(B, f)
             if g.source.atom_count >= 2 and g.atom_map:
                 amap = (0,) * len(g.atom_map)
                 if amap != g.atom_map:
@@ -222,7 +224,7 @@ class TestBrain:
         assert code == 2
 
     def test_export_dot_parses(self, capsys):
-        code, out, _ = run(capsys, "brain", "export", BRAIN_TWO, "--dot")
+        code, out, _ = run(capsys, "brain", "export", BRAIN_TWO)
         assert code == 0
         assert out.startswith('digraph "pair" {')
         assert out.rstrip().endswith("}")
@@ -230,7 +232,7 @@ class TestBrain:
         assert all(l.startswith("  ") and l.endswith(";") for l in body)
 
     def test_export_mind(self, capsys):
-        code, out, _ = run(capsys, "brain", "export", BRAIN_TWO, "--dot", "--mind")
+        code, out, _ = run(capsys, "brain", "export", BRAIN_TWO, "--mind")
         assert code == 0
         assert "letters=4" in out
 
@@ -260,7 +262,7 @@ class TestDeterminism:
             ("models", GROUP, "GROUP", "2"),
             ("adjoint", PROPS, "XOR_PAIR", "--atoms", "1"),
             ("brain", "check", BRAIN_TWO),
-            ("brain", "export", BRAIN_TWO, "--dot"),
+            ("brain", "export", BRAIN_TWO),
         ],
     )
     def test_double_invocation_byte_identical(self, capsys, argv):
