@@ -6,7 +6,7 @@ Run from the repository root:
 
 Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
-search, and powerset-hom verification.
+search on both group presentations, and powerset-hom verification.
 """
 
 import random
@@ -27,6 +27,8 @@ GROUP_AXIOMS = [
     (1, (0, 0, -2, -1), (-3,)),
     (1, (0, -2, 0, -1), (-3,)),
 ]
+# fixtures/group_alt.thy (GROUP_R): associativity, right unit, right inverse
+GROUP_R_AXIOMS = [GROUP_AXIOMS[0], GROUP_AXIOMS[1], GROUP_AXIOMS[3]]
 
 
 def bench(fn, *args, repeat=1):
@@ -63,6 +65,13 @@ def workloads():
     yield "search_tables group n=4 (pruned)", lambda impl: impl.search_tables(
         4, GROUP_ARITIES, GROUP_AXIOMS
     ), 1
+
+    def run_group_r(impl):
+        tables = impl.search_tables(4, GROUP_ARITIES, GROUP_R_AXIOMS)
+        assert len(tables) == 16, "GROUP_R must have the 16 labelled groups of order 4"
+        return tables
+
+    yield "search_tables group_r n=4 (pruned)", run_group_r, 1
     yield "hom image+check 16 atoms x20", run_homs, 1
 
 

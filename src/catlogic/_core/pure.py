@@ -7,6 +7,12 @@ Term bytecode: a postfix token list where token >= 0 pushes env[token] and
 token < 0 applies function symbol (-token - 1), popping its arity arguments
 (leftmost argument deepest). Tables are flat row-major blocks concatenated in
 symbol order; `arities` gives each symbol's argument count.
+
+The pruned search keeps a watch list per cell: each axiom instance waits on
+the first unassigned cell it reads and is re-evaluated only when that cell
+is assigned. `_native.search_tables` instead rescans every pending instance
+at each node; both decide each instance at the same depth, so they explore
+the same tree and return the same list.
 """
 
 from __future__ import annotations
@@ -82,42 +88,69 @@ def scan_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     return out
 
 
-def _eval_partial(code, env, tables, offsets, arities, n: int):
-    # like _eval_code but tables may hold -1 (unassigned); returns None on a hit
-    stack: list[int] = []
+def _fold(code, env, offsets, arities, n: int) -> list[tuple[int, int]]:
+    # (value, -1) pushes a literal; (offset, k) reads the cell its k popped
+    # arguments index, folded to (cell, 0) when those arguments are literals
+    out: list[tuple[int, int]] = []
     for tok in code:
         if tok >= 0:
-            stack.append(env[tok])
+            out.append((env[tok], -1))
+            continue
+        s = -tok - 1
+        k = arities[s]
+        args = out[len(out) - k :]
+        if all(kind < 0 for _, kind in args):
+            idx = 0
+            for v, _ in args:
+                idx = idx * n + v
+            del out[len(out) - k :]
+            out.append((offsets[s] + idx, 0))
         else:
-            s = -tok - 1
-            k = arities[s]
+            out.append((offsets[s], k))
+    return out
+
+
+def _eval_instance(code, tables, n: int) -> int:
+    # folded lhs+rhs: lhs == rhs as a bool, or -(cell+1) for the first
+    # unassigned (-1) cell the evaluation reads
+    stack: list[int] = []
+    push = stack.append
+    pop = stack.pop
+    for off, k in code:
+        if k < 0:
+            push(off)
+            continue
+        if k == 2:
+            b = pop()
+            off += pop() * n + b
+        elif k == 1:
+            off += pop()
+        elif k:
             idx = 0
             for a in stack[len(stack) - k :]:
                 idx = idx * n + a
             del stack[len(stack) - k :]
-            v = tables[offsets[s] + idx]
-            if v < 0:
-                return None
-            stack.append(v)
-    return stack[-1]
+            off += idx
+        v = tables[off]
+        if v < 0:
+            return -off - 1
+        push(v)
+    return stack[0] == stack[1]
 
 
 def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     """Same result set as scan_tables, found by axiom-driven backtracking.
 
-    Cells are assigned constants first, then the larger tables, so unit- and
-    inverse-style axioms prune as soon as their cells fill in. The output is
-    sorted into scan_tables' canonical order before returning.
+    Cells are assigned constants first, then the larger tables. Each axiom
+    instance is folded with its environment once and filed on the watch list
+    of the first unassigned cell it reads (an instance that reads none is
+    decided up front). Assigning the cell at depth d re-evaluates only its
+    list: each instance settles, fails the branch, or moves to the list of a
+    later cell until backtracking pops it again. Instances are decided at the
+    same depth as by the native pending-set scan, so both walk the same tree.
+    The output is sorted into scan_tables' canonical order before returning.
     """
     offsets, total = _offsets(n, arities)
-    if total == 0:
-        vacuous = all(
-            _eval_code(l, e, (), offsets, arities, n) == _eval_code(r, e, (), offsets, arities, n)
-            for nv, l, r in axioms
-            for e in product(range(n), repeat=nv)
-        )
-        return [()] if vacuous else []
-
     sym_order = sorted(
         range(len(arities)), key=lambda s: (arities[s] != 0, -(n ** arities[s]), s)
     )
@@ -125,41 +158,39 @@ def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     for s in sym_order:
         cell_order.extend(range(offsets[s], offsets[s] + n ** arities[s]))
 
-    instances: list[tuple[tuple[int, ...], tuple, tuple]] = []
+    tables = [-1] * total
+    watch: list[list] = [[] for _ in range(total)]
+    ev = _eval_instance
     for n_vars, lhs, rhs in axioms:
         for env in product(range(n), repeat=n_vars):
-            instances.append((env, lhs, rhs))
-
-    tables = [-1] * total
-    pending: set[int] = set(range(len(instances)))
+            code = _fold(lhs, env, offsets, arities, n) + _fold(rhs, env, offsets, arities, n)
+            r = ev(code, tables, n)
+            if r < 0:
+                watch[-r - 1].append(code)
+            elif not r:
+                return []
     results: list[tuple[int, ...]] = []
-    ev = _eval_partial
 
     def descend(depth: int) -> None:
         if depth == total:
             results.append(tuple(tables))
             return
         cell = cell_order[depth]
+        watching = watch[cell]
         for value in range(n):
             tables[cell] = value
-            settled: list[int] = []
-            ok = True
-            for i in pending:
-                env, lhs, rhs = instances[i]
-                lv = ev(lhs, env, tables, offsets, arities, n)
-                if lv is None:
-                    continue
-                rv = ev(rhs, env, tables, offsets, arities, n)
-                if rv is None:
-                    continue
-                if lv != rv:
-                    ok = False
+            moved: list[int] = []
+            for code in watching:
+                r = ev(code, tables, n)
+                if r < 0:
+                    watch[-r - 1].append(code)
+                    moved.append(-r - 1)
+                elif not r:
                     break
-                settled.append(i)
-            if ok:
-                pending.difference_update(settled)
+            else:
                 descend(depth + 1)
-                pending.update(settled)
+            for blocked in reversed(moved):
+                watch[blocked].pop()
         tables[cell] = -1
 
     descend(0)

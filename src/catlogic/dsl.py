@@ -16,6 +16,8 @@ Grammar (keywords are bit-exact; `#` starts a line comment):
     term      := IDENT | IDENT "(" term ("," term)* ")"
 
 `iff(a, b)` desugars to `and(implies(a, b), implies(b, a))` at parse time.
+An axiom or rewrite side may nest at most `MAX_NESTING` levels (`iff` counts
+as two); deeper input is a syntax error rather than a stack overflow later.
 Constants are declared `op u : -> X;`. In equational axioms, unquantified
 identifiers that are not declared constants are variables; their sorts are
 inferred from the positions they occupy.
@@ -51,6 +53,11 @@ from .kernel import (
 KEYWORDS = frozenset(
     "theory prop eq sort op letters axiom rewrite true false not and or implies iff".split()
 )
+
+# Every recursive walk of a parsed formula or term (printing, closing, sort
+# checks, evaluation, normalisation) takes at most a few frames per level, so
+# 200 levels stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 200
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_")
@@ -169,21 +176,28 @@ class _PTerm:
     span: SourceSpan
 
 
-def _parse_pterm(lx: _Lexer) -> _PTerm:
+def _check_nesting(depth: int, tok: _Token) -> None:
+    if depth > MAX_NESTING:
+        raise TheorySyntaxError(f"nested deeper than {MAX_NESTING} levels", tok.span)
+
+
+def _parse_pterm(lx: _Lexer, depth: int = 0) -> _PTerm:
+    _check_nesting(depth, lx.peek())
     head = lx.expect_ident()
     if lx.peek().text == "(":
         lx.next()
-        args = [_parse_pterm(lx)]
+        args = [_parse_pterm(lx, depth + 1)]
         while lx.peek().text == ",":
             lx.next()
-            args.append(_parse_pterm(lx))
+            args.append(_parse_pterm(lx, depth + 1))
         lx.expect(")")
         return _PTerm(head.text, tuple(args), head.span)
     return _PTerm(head.text, None, head.span)
 
 
-def _parse_formula(lx: _Lexer, th: "_TheoryBuilder") -> Formula:
+def _parse_formula(lx: _Lexer, th: "_TheoryBuilder", depth: int = 0) -> Formula:
     tok = lx.peek()
+    _check_nesting(depth, tok)
     if tok.text == "true":
         lx.next()
         return Top()
@@ -193,15 +207,16 @@ def _parse_formula(lx: _Lexer, th: "_TheoryBuilder") -> Formula:
     if tok.text == "not":
         lx.next()
         lx.expect("(")
-        sub = _parse_formula(lx, th)
+        sub = _parse_formula(lx, th, depth + 1)
         lx.expect(")")
         return Not(sub)
     if tok.text in ("and", "or", "implies", "iff"):
         op = lx.next().text
+        inner = depth + (2 if op == "iff" else 1)  # iff builds And(Implies, Implies)
         lx.expect("(")
-        lhs = _parse_formula(lx, th)
+        lhs = _parse_formula(lx, th, inner)
         lx.expect(",")
-        rhs = _parse_formula(lx, th)
+        rhs = _parse_formula(lx, th, inner)
         lx.expect(")")
         if op == "and":
             return And(lhs, rhs)
@@ -210,10 +225,10 @@ def _parse_formula(lx: _Lexer, th: "_TheoryBuilder") -> Formula:
         if op == "implies":
             return Implies(lhs, rhs)
         return And(Implies(lhs, rhs), Implies(rhs, lhs))
-    pterm = _parse_pterm(lx)
+    pterm = _parse_pterm(lx, depth)
     if lx.peek().text == "=":
         lx.next()
-        rhs = _parse_pterm(lx)
+        rhs = _parse_pterm(lx, depth)
         return th.resolve_equation(pterm, rhs)
     return th.resolve_atom(pterm)
 

@@ -50,6 +50,28 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(bad))
         assert code == 2
 
+    @staticmethod
+    def _nested_not(depth):
+        return "theory D prop { letters a; axiom " + "not(" * depth + "a" + ")" * depth + "; }\n"
+
+    def test_deep_nesting_exits_two_without_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        deep = tmp_path / "deep.thy"
+        deep.write_text(self._nested_not(3000))
+        cmd = [sys.executable, "-m", "catlogic.cli", "check", str(deep)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nested deeper" in proc.stderr
+
+    def test_moderate_nesting_checks(self, capsys, tmp_path):
+        nested = tmp_path / "nested.thy"
+        nested.write_text(self._nested_not(150))
+        code, report, _ = run_json(capsys, "check", str(nested))
+        assert code == 0 and report["pass"]
+
 
 class TestStone:
     def test_xor_pair(self, capsys):

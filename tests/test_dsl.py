@@ -1,6 +1,6 @@
 import pytest
 
-from catlogic.dsl import parse_file, parse_theory, print_theory
+from catlogic.dsl import MAX_NESTING, parse_file, parse_theory, print_theory
 from catlogic.errors import InvalidTheoryError, TheorySyntaxError
 from catlogic.kernel import And, Fragment, Implies, Or
 
@@ -96,6 +96,32 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(TheorySyntaxError):
             parse_file("   # nothing here\n")
+
+    @pytest.mark.parametrize(
+        "inner,levels",
+        [
+            ("a", 0),
+            ("and(a, a)", 1),
+            ("iff(a, a)", 2),  # desugars to and(implies(a, a), implies(a, a))
+        ],
+    )
+    def test_nesting_limit(self, inner, levels):
+        def theory(depth):
+            formula = "not(" * depth + inner + ")" * depth
+            return "theory D prop { letters a; axiom " + formula + "; }"
+
+        parse_theory(theory(MAX_NESTING - levels))
+        with pytest.raises(TheorySyntaxError, match="nested deeper"):
+            parse_theory(theory(MAX_NESTING - levels + 1))
+
+    def test_term_nesting_limit(self):
+        def theory(depth):
+            term = "f(" * depth + "x" + ")" * depth
+            return "theory D eq { sort X; op f : X -> X; axiom " + term + " = x; }"
+
+        parse_theory(theory(MAX_NESTING))
+        with pytest.raises(TheorySyntaxError, match="nested deeper"):
+            parse_theory(theory(MAX_NESTING + 1))
 
     def test_mutated_sources_error_with_spans_in_bounds(self):
         # whatever we do to the input, a syntax error must point inside it

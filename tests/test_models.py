@@ -110,7 +110,7 @@ class TestEnumerateModels:
             enumerate_models(group_theory, 4, prune=False)
 
     def test_alt_presentation_same_counts(self, group_theory, group_alt_theory):
-        for size in (1, 2, 3):
+        for size in (1, 2, 3, 4):
             assert len(enumerate_models(group_alt_theory, size)) == len(
                 enumerate_models(group_theory, size)
             )
