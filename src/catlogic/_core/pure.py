@@ -13,6 +13,11 @@ the first unassigned cell it reads and is re-evaluated only when that cell
 is assigned. `_native.search_tables` instead rescans every pending instance
 at each node; both decide each instance at the same depth, so they explore
 the same tree and return the same list.
+
+The hom image table is built by doubling: each source atom's image is read
+off the atom map once and joined into a copy of the table so far, with no
+per-bit loop. `_native.hom_image_table` tests every target bit of every
+element instead, so the two tabulate by different algorithms.
 """
 
 from __future__ import annotations
@@ -201,17 +206,17 @@ def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
 def hom_image_table(atom_map, m_atoms: int, k_atoms: int) -> list[int]:
     """Element map of the dual-encoded hom, tabulated over all 2^m_atoms inputs.
 
-    atom_map[j] names the source atom under target atom j; the image of e has
-    bit j set exactly when atom_map[j] lies below e.
+    atom_map[j] (in range(m_atoms)) names the source atom under target atom
+    j; the image of e has bit j set exactly when atom_map[j] lies below e.
+    Each source atom's image is collected once, then the table doubles per
+    atom: entry e + 2^i is entry e joined with atom i's image. O(2^m + k).
     """
-    size = 1 << m_atoms
-    img = [0] * size
-    for e in range(size):
-        h = 0
-        for j in range(k_atoms):
-            if (e >> atom_map[j]) & 1:
-                h |= 1 << j
-        img[e] = h
+    atom_img = [0] * m_atoms
+    for j in range(k_atoms):
+        atom_img[atom_map[j]] |= 1 << j
+    img = [0]
+    for a in atom_img:
+        img += [x | a for x in img]
     return img
 
 

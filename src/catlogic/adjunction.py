@@ -15,7 +15,8 @@ conjugation with the canonical isomorphisms.
 transpose and untranspose are the plain maps across the bijection;
 check_adjunction verifies their round trip once per morphism and samples
 naturality triples by index (its docstring gives the order). lang, syn and
-canonical_iso each keep at most CACHE_SIZE entries.
+canonical_iso each keep at most CACHE_SIZE entries; a cached iso keeps its
+inverse (BoolHom.inverse), so untranspose inverts it once per algebra.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class TheoryMorphism:
 
     def compose(self, other: "TheoryMorphism") -> "TheoryMorphism":
         """self after other."""
-        if other.target != self.source:
+        if other.target is not self.source and other.target != self.source:
             raise ValueError("theory morphisms not composable")
         return TheoryMorphism(other.source, self.target, self.hom.compose(other.hom))
 

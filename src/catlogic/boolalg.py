@@ -155,12 +155,21 @@ class BoolHom:
     target: FiniteBooleanAlgebra
     atom_map: tuple[int, ...]
 
+    _inverse = None  # not a field: inverse() keeps its result here
+
     def __post_init__(self) -> None:
         if len(self.atom_map) != self.target.atom_count:
             raise ValueError("atom_map must cover every target atom")
         for i in self.atom_map:
             if not 0 <= i < self.source.atom_count:
                 raise ValueError(f"atom index {i} outside the source algebra")
+
+    @classmethod
+    def _trusted(cls, source, target, atom_map) -> "BoolHom":
+        # skips __post_init__: only for atom maps valid by construction
+        h = object.__new__(cls)
+        h.__dict__.update(source=source, target=target, atom_map=atom_map)
+        return h
 
     def __call__(self, element: int) -> int:
         self.source.check(element)
@@ -175,12 +184,14 @@ class BoolHom:
         return _core.hom_image_table(self.atom_map, self.source.atom_count, self.target.atom_count)
 
     def compose(self, other: "BoolHom") -> "BoolHom":
-        """self after other (other's target must be self's source)."""
-        if other.target != self.source:
+        """self after other (other's target must be self's source).
+
+        The composite of two valid homs is valid, so it is built unchecked.
+        """
+        if other.target is not self.source and other.target != self.source:
             raise ValueError("homs not composable")
-        return BoolHom(
-            other.source, self.target, tuple(other.atom_map[j] for j in self.atom_map)
-        )
+        amap = other.atom_map
+        return BoolHom._trusted(other.source, self.target, tuple([amap[j] for j in self.atom_map]))
 
     @staticmethod
     def identity(algebra: FiniteBooleanAlgebra) -> "BoolHom":
@@ -194,25 +205,37 @@ class BoolHom:
         )
 
     def inverse(self) -> "BoolHom":
-        if not self.is_isomorphism:
-            raise ValueError("hom is not an isomorphism")
-        inv = [0] * len(self.atom_map)
-        for j, i in enumerate(self.atom_map):
-            inv[i] = j
-        return BoolHom(self.target, self.source, tuple(inv))
+        """The inverse isomorphism, built on the first call and kept on self
+        (so a cached iso, such as adjunction.canonical_iso's, inverts once)."""
+        if self._inverse is None:
+            if not self.is_isomorphism:
+                raise ValueError("hom is not an isomorphism")
+            inv = [0] * len(self.atom_map)
+            for j, i in enumerate(self.atom_map):
+                inv[i] = j
+            self.__dict__["_inverse"] = BoolHom._trusted(self.target, self.source, tuple(inv))
+        return self._inverse
 
 
 def verify_hom(h: BoolHom, exhaustive: bool = False) -> bool:
     """Check that a hom preserves top, bottom, meet, join and complement.
 
-    The default pass checks complements element-wise plus atomic join
-    decompositions, which forces pairwise meet/join preservation; with
-    exhaustive=True every element pair is checked directly (quadratic, meant
-    for small algebras).
+    The default pass checks the backend's image table: complements
+    element-wise plus atomic join decompositions, which forces pairwise
+    meet/join preservation. A table that passes the join check is the join of
+    its atom entries, so it still holds for a table built with the wrong atom
+    images (say, permuted ones). The pass therefore also compares the table
+    at each of the m source atoms with h's own per-bit element map; agreeing
+    there, the two agree on every element, which makes the check exact at
+    O(m*k) extra cost. With exhaustive=True every element pair is checked
+    directly as well (quadratic, meant for small algebras).
     """
     img = h.image_table()
     if not _core.check_hom_table(img, h.source.atom_count, h.target.atom_count):
         return False
+    for i in range(h.source.atom_count):
+        if img[1 << i] != h(1 << i):
+            return False
     if exhaustive:
         top_s, top_t = h.source.top, h.target.top
         if img[0] != 0 or img[top_s] != top_t:

@@ -24,6 +24,7 @@ from .errors import (
     CapacityExceededError,
     CatlogicError,
     InvalidTheoryError,
+    SourceSpan,
     TheorySyntaxError,
 )
 from .kernel import Fragment
@@ -73,9 +74,21 @@ def _read(path: str):
         return fh.read()
 
 
+def _decode(data: bytes) -> str:
+    """The input as UTF-8 text; a bad byte is a syntax error at its place."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = head.count("\n") + 1
+        column = len(head) - head.rfind("\n")
+        span = SourceSpan(line, column, len(head), len(head) + 1)
+        raise TheorySyntaxError(f"input is not UTF-8 (byte 0x{data[exc.start]:02x})", span) from None
+
+
 def _load_theories(path: str):
     data = _read(path)
-    return parse_file(data.decode("utf-8")), _digest(data)
+    return parse_file(_decode(data)), _digest(data)
 
 
 def _named_theory(theories, name: str):
@@ -183,6 +196,8 @@ def cmd_models(args, echo) -> int:
         theory = _named_theory(theories, args.theory)
     except (OSError, TheorySyntaxError, InvalidTheoryError, KeyError) as exc:
         return _input_error(echo, str(exc))
+    if args.size < 0:
+        return _input_error(echo, f"size {args.size} is negative")
 
     report = _base_report(echo, digest)
     try:
@@ -328,10 +343,12 @@ def _replay(report: dict, echo, replay_id: str) -> int:
 def cmd_brain(args, echo) -> int:
     try:
         data = _read(args.path)
+        text = _decode(data)
     except OSError as exc:
         return _input_error(echo, str(exc))
+    except TheorySyntaxError as exc:
+        return _input_error(echo, f"syntax: {exc}")
     digest = _digest(data)
-    text = data.decode("utf-8")
 
     if args.brain_command == "check":
         report = _base_report(echo, digest)

@@ -153,6 +153,19 @@ def _compile_axioms(theory: Theory) -> list[tuple[int, tuple[int, ...], tuple[in
     return compiled
 
 
+def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base**exponent > bound, without building a huge power: for
+    base >= 2 the product passes the bound within log2(bound) + 1 factors."""
+    if base < 2:
+        return base**exponent > bound  # 0 or 1
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > bound:
+            return True
+    return False
+
+
 def enumerate_models(theory: Theory, size: int, prune: bool = True) -> list[FiniteModel]:
     """All models on the labelled carrier {0, ..., size-1}, canonical order.
 
@@ -172,11 +185,10 @@ def enumerate_models(theory: Theory, size: int, prune: bool = True) -> list[Fini
 
     cells = _table_cells(theory, size)
     total_cells = sum(cells)
-    candidates = size**total_cells if size > 0 else (1 if total_cells == 0 else 0)
     bound = SEARCH_CANDIDATE_BOUND if prune else NAIVE_CANDIDATE_BOUND
-    if candidates > bound:
+    if _power_exceeds(size, total_cells, bound):
         raise CapacityExceededError(
-            f"table space of {candidates} candidates exceeds the bound {bound}"
+            f"table space of {size}**{total_cells} candidates exceeds the bound {bound}"
         )
 
     if len(theory.sorts) == 1:

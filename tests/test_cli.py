@@ -66,6 +66,19 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
         assert "nested deeper" in proc.stderr
 
+    def test_non_utf8_input_exits_two_without_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        bad = tmp_path / "bad.thy"
+        bad.write_bytes(b"theory P prop {\n  letters a\xff; }\n")
+        for argv in (["check", str(bad)], ["stone", str(bad), "P"], ["brain", "check", str(bad)]):
+            cmd = [sys.executable, "-m", "catlogic.cli", *argv]
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2, argv
+            assert "Traceback" not in proc.stderr
+            assert "2:12: input is not UTF-8 (byte 0xff)" in proc.stderr
+
     def test_moderate_nesting_checks(self, capsys, tmp_path):
         nested = tmp_path / "nested.thy"
         nested.write_text(self._nested_not(150))
@@ -118,6 +131,27 @@ class TestModels:
         code, report, _ = run_json(capsys, "models", GROUP, "GROUP", "4", "--no-prune")
         assert code == 1
         assert report["verdicts"]["capacity"] == "fail"
+
+    def test_negative_size_exits_two(self, capsys):
+        code, report, _ = run_json(capsys, "models", GROUP, "GROUP", "--", "-1")
+        assert code == 2
+        assert "negative" in report["error"]
+
+    @pytest.mark.parametrize("size,cells", [(30, 931), (99999, 9999900001)])
+    def test_huge_size_is_a_prompt_capacity_failure(self, capsys, size, cells):
+        import time
+
+        t0 = time.perf_counter()
+        code, report, _ = run_json(capsys, "models", GROUP, "GROUP", str(size))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert report["verdicts"] == {"capacity": "fail"}
+        assert report["counterexamples"] == [
+            {
+                "id": "capacity",
+                "message": f"table space of {size}**{cells} candidates exceeds the bound {10**18}",
+            }
+        ]
 
 
 class TestSyn:

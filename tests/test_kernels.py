@@ -1,15 +1,19 @@
-"""The pure pruned table search must return exactly the raw scan's list.
+"""The pure kernels against their own oracles.
 
-tests/test_backends.py compares the backends only where the compiled
-extension is built; these check the pure kernel against its own oracle on
-random and edge-case signatures everywhere.
+The pruned table search must return exactly the raw scan's list, and the
+doubling hom image table must equal a per-bit tabulation; check_hom_table
+and verify_hom must reject corrupted tables. tests/test_backends.py compares
+the backends only where the compiled extension is built; these run
+everywhere.
 """
 
 import random
 
 import pytest
 
+from catlogic import boolalg
 from catlogic._core import pure
+from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra, verify_hom
 
 MAX_CANDIDATES = 3**8
 
@@ -89,3 +93,80 @@ def test_false_variable_only_axiom_has_no_models():
     assert pure.search_tables(2, [2], [(2, (0,), (1,))]) == []
     assert pure.search_tables(2, [], [(2, (0,), (1,))]) == []
     assert pure.search_tables(1, [], [(2, (0,), (1,))]) == [()]
+
+
+# ---------------------------------------------------------------------------
+# Hom image tables
+
+
+def per_bit_table(atom_map, m, k):
+    """Reference tabulation: test every target bit of every element."""
+    return [
+        sum(1 << j for j in range(k) if (e >> atom_map[j]) & 1) for e in range(1 << m)
+    ]
+
+
+def random_atom_maps(seed, count, max_atoms=10):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(0, max_atoms)
+        k = rng.randint(0, max_atoms) if m else 0  # no atom map into 0 atoms
+        yield tuple(rng.randrange(m) for _ in range(k)), m, k
+
+
+def test_image_table_equals_per_bit_reference():
+    seen_m, seen_k = set(), set()
+    for atom_map, m, k in random_atom_maps(31, 400):
+        assert pure.hom_image_table(atom_map, m, k) == per_bit_table(atom_map, m, k), (atom_map, m)
+        seen_m.add(m)
+        seen_k.add(k)
+    assert seen_m == seen_k == set(range(11))
+
+
+def preserves_operations(img, m, k):
+    """Reference check: bottom, top, complements and every pairwise join."""
+    top_s, top_t = (1 << m) - 1, (1 << k) - 1
+    if img[0] != 0 or img[top_s] != top_t:
+        return False
+    return all(img[top_s ^ a] == top_t ^ img[a] for a in range(1 << m)) and all(
+        img[a | b] == img[a] | img[b] for a in range(1 << m) for b in range(a)
+    )
+
+
+def test_check_hom_table_accepts_real_and_rejects_corrupted():
+    rng = random.Random(32)
+    rejected_swaps = 0
+    for atom_map, m, k in random_atom_maps(33, 300, max_atoms=5):
+        img = pure.hom_image_table(atom_map, m, k)
+        assert pure.check_hom_table(img, m, k)
+        if k == 0:
+            continue
+        flipped = list(img)
+        flipped[rng.randrange(len(img))] ^= 1 << rng.randrange(k)
+        assert not pure.check_hom_table(flipped, m, k)
+        if m == 0:
+            continue
+        a, b = rng.sample(range(len(img)), 2)
+        swapped = list(img)
+        swapped[a], swapped[b] = img[b], img[a]
+        # a swap can land on another hom's table (two atoms of a 2-atom
+        # source, or equal entries); the pairwise reference decides
+        verdict = pure.check_hom_table(swapped, m, k)
+        assert verdict == preserves_operations(swapped, m, k), (atom_map, m, a, b)
+        rejected_swaps += not verdict
+    assert rejected_swaps > 150
+
+
+def test_verify_hom_rejects_a_kernel_that_permutes_atom_images(monkeypatch):
+    # a permuted atom map still tabulates a valid hom, so only the exact
+    # atom comparison in verify_hom can tell it from the hom asked for
+    h = BoolHom(FiniteBooleanAlgebra(3), FiniteBooleanAlgebra(4), (0, 1, 2, 2))
+    assert verify_hom(h)
+    shift = {0: 1, 1: 2, 2: 0}
+
+    def permuted(atom_map, m, k):
+        return pure.hom_image_table(tuple(shift[i] for i in atom_map), m, k)
+
+    monkeypatch.setattr(boolalg._core, "hom_image_table", permuted)
+    assert pure.check_hom_table(h.image_table(), 3, 4)
+    assert not verify_hom(h)
