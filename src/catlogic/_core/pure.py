@@ -1,4 +1,4 @@
-"""Pure-Python kernels: reference semantics for the compiled twin.
+"""Pure-Python kernels: reference semantics for the native C twin (`_native.c`).
 
 Both backends must return bit-identical results; the test suite cross-checks
 them on shared inputs. Everything here works on plain ints and tuples.

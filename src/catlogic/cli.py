@@ -350,26 +350,32 @@ def cmd_brain(args, echo) -> int:
         return _input_error(echo, f"syntax: {exc}")
     digest = _digest(data)
 
+    # check reports composite mismatches as verdicts; every other load error
+    # is bad input for all subcommands
+    try:
+        graph = brain.load_brain(text, strict=args.brain_command != "check")
+    except TheorySyntaxError as exc:
+        return _input_error(echo, f"syntax: {exc}")
+    except CatlogicError as exc:
+        return _input_error(echo, str(exc))
+
     if args.brain_command == "check":
         report = _base_report(echo, digest)
         report["seed"] = args.seed
-        try:
-            graph = brain.load_brain(text, strict=False)
-        except TheorySyntaxError as exc:
-            return _input_error(echo, f"syntax: {exc}")
-        except CatlogicError as exc:
-            report["verdicts"]["structure"] = "fail"
-            report["counterexamples"].append({"id": "structure", "message": str(exc)})
-            code = _finish(report)
-            _emit(report, [f"invalid brain: {exc}"])
-            return code
         report["verdicts"]["structure"] = "pass"
 
         findings = graph.validate(strict=False)
         report["verdicts"]["composites"] = "pass" if not findings else "fail"
         report["counterexamples"].extend(findings)
 
-        audits = brain.audit_adjunction(graph, seed=args.seed)
+        try:
+            audits = brain.audit_adjunction(graph, seed=args.seed)
+        except CapacityExceededError as exc:
+            report["verdicts"]["capacity"] = "fail"
+            report["counterexamples"].append({"id": "capacity", "message": str(exc)})
+            code = _finish(report)
+            _emit(report, [f"{graph.name}: capacity exceeded: {exc}"])
+            return code
         audit_summaries = []
         for audit in audits:
             rep = audit["report"]
@@ -402,13 +408,6 @@ def cmd_brain(args, echo) -> int:
         _emit(report, [f"{graph.name}: audits {report['verdicts']['adjunction-audit']}"])
         return code
 
-    try:
-        graph = brain.load_brain(text)
-    except TheorySyntaxError as exc:
-        return _input_error(echo, f"syntax: {exc}")
-    except CatlogicError as exc:
-        return _input_error(echo, str(exc))
-
     if args.brain_command == "run":
         try:
             initial = _parse_init(graph, args.init)
@@ -434,7 +433,10 @@ def cmd_brain(args, echo) -> int:
         return code
 
     if args.brain_command == "export":
-        target = brain.mind_of_brain(graph) if args.mind else graph
+        try:
+            target = brain.mind_of_brain(graph) if args.mind else graph
+        except CapacityExceededError as exc:
+            return _input_error(echo, str(exc))
         sys.stdout.write(brain.export_dot(target))
         sys.stderr.write(f"{graph.name}: DOT export ({'mind' if args.mind else 'brain'})\n")
         return EXIT_PASS

@@ -1,32 +1,36 @@
-"""The compiled kernels and the pure-Python twins must agree bit for bit."""
+"""The compiled kernels and the pure-Python twins must agree bit for bit.
 
+The `native` fixture (tests/conftest.py) compiles the kernels when the
+package has no built extension, so these run wherever a C compiler exists.
+"""
+
+import os
 import random
 
 import pytest
 
+from catlogic import boolalg
 from catlogic._core import BACKEND, pure
-
-native = pytest.importorskip(
-    "catlogic._core._native", reason="compiled kernels not built"
-)
 
 
 def test_selected_backend_is_native_when_built():
-    import os
-
+    try:
+        import catlogic._core._native  # noqa: F401
+    except ImportError:
+        pytest.skip("the package's own extension is not built")
     if not os.environ.get("CATLOGIC_PURE"):
         assert BACKEND == "native"
 
 
 class TestReduceWord:
-    def test_random_words_agree(self):
+    def test_random_words_agree(self, native):
         rng = random.Random(101)
         letters = [s * g for g in (1, 2, 3) for s in (1, -1)]
         for _ in range(3000):
             word = [rng.choice(letters) for _ in range(rng.randint(0, 40))]
             assert pure.reduce_word(word) == native.reduce_word(word)
 
-    def test_zero_rejected_by_both(self):
+    def test_zero_rejected_by_both(self, native):
         for impl in (pure, native):
             with pytest.raises(ValueError):
                 impl.reduce_word([1, 0, -1])
@@ -44,19 +48,19 @@ GROUP_ARITIES = [2, 1, 0]
 
 class TestTableKernels:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_scan_agrees(self, n):
+    def test_scan_agrees(self, native, n):
         assert pure.scan_tables(n, GROUP_ARITIES, GROUP_AXIOMS) == native.scan_tables(
             n, GROUP_ARITIES, GROUP_AXIOMS
         )
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-    def test_search_agrees_with_scan(self, n):
+    def test_search_agrees_with_scan(self, native, n):
         searched = native.search_tables(n, GROUP_ARITIES, GROUP_AXIOMS)
         assert searched == pure.search_tables(n, GROUP_ARITIES, GROUP_AXIOMS)
         if n <= 3:
             assert searched == native.scan_tables(n, GROUP_ARITIES, GROUP_AXIOMS)
 
-    def test_random_unary_theories(self):
+    def test_random_unary_theories(self, native):
         # axioms over a single unary symbol: f(f(x)) = f(x) style
         rng = random.Random(5)
         for _ in range(20):
@@ -70,7 +74,7 @@ class TestTableKernels:
 
 
 class TestHomKernels:
-    def test_image_tables_agree(self):
+    def test_image_tables_agree(self, native):
         rng = random.Random(77)
         for _ in range(200):
             m = rng.randint(0, 7)
@@ -80,7 +84,7 @@ class TestHomKernels:
             amap = tuple(rng.randrange(m) for _ in range(k))
             assert pure.hom_image_table(amap, m, k) == native.hom_image_table(amap, m, k)
 
-    def test_check_accepts_real_homs_and_rejects_corrupted(self):
+    def test_check_accepts_real_homs_and_rejects_corrupted(self, native):
         rng = random.Random(78)
         for _ in range(200):
             m = rng.randint(1, 6)
@@ -92,3 +96,26 @@ class TestHomKernels:
             bad = list(img)
             bad[rng.randrange(1, len(bad))] ^= 1 << rng.randrange(k)
             assert pure.check_hom_table(bad, m, k) == native.check_hom_table(bad, m, k)
+
+    @pytest.mark.parametrize("k", [0, 63, 64, 65, 70])
+    def test_wide_targets_agree(self, native, k):
+        # targets past 64 atoms do not fit one machine word
+        rng = random.Random(k)
+        for m in (1, 2, 4):
+            amap = tuple(rng.randrange(m) for _ in range(k))
+            img = pure.hom_image_table(amap, m, k)
+            assert native.hom_image_table(amap, m, k) == img
+            assert native.check_hom_table(img, m, k)
+            if k:
+                bad = list(img)
+                bad[rng.randrange(1, len(bad))] ^= 1 << rng.randrange(k)
+                assert not native.check_hom_table(bad, m, k)
+                assert not pure.check_hom_table(bad, m, k)
+
+    @pytest.mark.parametrize("k", [64, 65])
+    def test_enumerate_homs_into_wide_target(self, native, monkeypatch, k):
+        B1, Bk = boolalg.FiniteBooleanAlgebra(1), boolalg.FiniteBooleanAlgebra(k)
+        expected = [h.atom_map for h in boolalg.enumerate_homs(B1, Bk)]
+        monkeypatch.setattr(boolalg._core, "hom_image_table", native.hom_image_table)
+        monkeypatch.setattr(boolalg._core, "check_hom_table", native.check_hom_table)
+        assert [h.atom_map for h in boolalg.enumerate_homs(B1, Bk)] == expected == [(0,) * k]

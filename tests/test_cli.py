@@ -292,6 +292,30 @@ class TestBrain:
         assert code == 0
         assert "letters=4" in out
 
+    @pytest.fixture
+    def oversized(self, tmp_path):
+        # lang tabulates at most LANG_ATOM_BOUND = 4 atoms
+        path = tmp_path / "big.brain"
+        path.write_text("brain big { neuron a atoms=5; }")
+        return str(path)
+
+    def test_check_oversized_neuron_is_a_capacity_verdict(self, capsys, oversized):
+        code, report, err = run_json(capsys, "brain", "check", oversized)
+        assert code == 1 and "Traceback" not in err
+        assert report["verdicts"]["capacity"] == "fail"
+        assert [c["id"] for c in report["counterexamples"]] == ["capacity"]
+
+    def test_export_mind_oversized_neuron_exits_two(self, capsys, oversized):
+        code, report, err = run_json(capsys, "brain", "export", oversized, "--mind")
+        assert code == 2 and "Traceback" not in err
+        assert "exceeds the bound" in report["error"]
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_out_of_range_hom_is_an_input_error(self, capsys, command):
+        code, report, err = run_json(capsys, "brain", command, str(FIXTURES / "brain_bad_hom.brain"))
+        assert code == 2 and "Traceback" not in err
+        assert "atom index 5" in report["error"]
+
 
 class TestSubprocess:
     def test_reports_identical_across_processes_and_hash_seeds(self):

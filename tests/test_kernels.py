@@ -2,9 +2,10 @@
 
 The pruned table search must return exactly the raw scan's list, and the
 doubling hom image table must equal a per-bit tabulation; check_hom_table
-and verify_hom must reject corrupted tables. tests/test_backends.py compares
-the backends only where the compiled extension is built; these run
-everywhere.
+and verify_hom must reject corrupted tables. The random signatures are
+also run through the native kernels (the `native` fixture builds them when
+a C compiler exists); tests/test_backends.py holds the other backend
+comparisons.
 """
 
 import random
@@ -46,25 +47,37 @@ def random_signature(rng):
     return arities, axioms
 
 
-def test_random_signatures_search_equals_scan():
+def random_signature_cases():
+    """(n, arities, axioms) over random signatures, small enough to scan."""
     rng = random.Random(2024)
-    seen_arities, seen_vars, seen_sizes, nonempty = set(), set(), set(), 0
     for _ in range(150):
         arities, axioms = random_signature(rng)
         for n in range(4):
-            if n ** sum(n**k for k in arities) > MAX_CANDIDATES:
-                continue
-            searched = pure.search_tables(n, arities, axioms)
-            assert searched == pure.scan_tables(n, arities, axioms), (n, arities, axioms)
-            seen_arities.update(arities)
-            seen_vars.update(nv for nv, _, _ in axioms)
-            seen_sizes.add(n)
-            nonempty += bool(searched)
+            if n ** sum(n**k for k in arities) <= MAX_CANDIDATES:
+                yield n, arities, axioms
+
+
+def test_random_signatures_search_equals_scan():
+    seen_arities, seen_vars, seen_sizes, nonempty = set(), set(), set(), 0
+    for n, arities, axioms in random_signature_cases():
+        searched = pure.search_tables(n, arities, axioms)
+        assert searched == pure.scan_tables(n, arities, axioms), (n, arities, axioms)
+        seen_arities.update(arities)
+        seen_vars.update(nv for nv, _, _ in axioms)
+        seen_sizes.add(n)
+        nonempty += bool(searched)
     # the generator really covers the advertised ranges
     assert seen_arities == {0, 1, 2, 3}
     assert seen_vars == {0, 1, 2, 3}
     assert seen_sizes == {0, 1, 2, 3}
     assert nonempty > 100
+
+
+def test_random_signatures_native_equals_pure(native):
+    for n, arities, axioms in random_signature_cases():
+        searched = pure.search_tables(n, arities, axioms)
+        assert native.search_tables(n, arities, axioms) == searched, (n, arities, axioms)
+        assert native.scan_tables(n, arities, axioms) == searched, (n, arities, axioms)
 
 
 # f : 2-ary, g : 1-ary, c, d : constants
