@@ -6,13 +6,18 @@ Run from the repository root:
 
 Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
-search on both group presentations, and powerset-hom verification.
+search on both group presentations, powerset-hom verification, and one
+Lang/Syn adjunction check whose hom enumerations run on the backend's hom
+kernels.
 """
 
 import random
 import time
 
+from catlogic import _core, adjunction
 from catlogic._core import pure
+from catlogic.boolalg import FiniteBooleanAlgebra
+from catlogic.dsl import parse_theory
 
 try:
     from catlogic._core import _native as native
@@ -73,6 +78,22 @@ def workloads():
 
     yield "search_tables group_r n=4 (pruned)", run_group_r, 1
     yield "hom image+check 16 atoms x20", run_homs, 1
+
+    # an axiomless 3-letter theory: Syn T has 8 atoms, so 3**8 homs a side
+    free3 = parse_theory("theory FREE3 prop { letters x, y, z; }")
+
+    def run_adjunction(impl):
+        saved = _core.hom_image_table, _core.check_hom_table
+        _core.hom_image_table, _core.check_hom_table = impl.hom_image_table, impl.check_hom_table
+        try:
+            report = adjunction.check_adjunction(FiniteBooleanAlgebra(3), free3)
+        finally:
+            _core.hom_image_table, _core.check_hom_table = saved
+        assert report.left_count == 6561 and report.passed
+        return report
+
+    # best of 3, so the first run fills the lang/syn/canonical_iso caches
+    yield "check_adjunction B=3 x Syn T=8", run_adjunction, 3
 
 
 def main() -> None:

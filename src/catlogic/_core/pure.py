@@ -66,6 +66,30 @@ def _eval_code(code, env, tables, offsets, arities, n: int) -> int:
     return stack[-1]
 
 
+def _check_axioms(arities, axioms) -> None:
+    # the native kernels' rules, applied once per axiom: a variable token
+    # names one of the axiom's variables, a symbol token one of the symbols,
+    # every application finds its arguments on the stack, and each side
+    # leaves exactly one value
+    for n_vars, lhs, rhs in axioms:
+        if n_vars < 0:
+            raise ValueError("n_vars must be non-negative")
+        for code in (lhs, rhs):
+            depth = 0
+            for pos, tok in enumerate(code):
+                if tok >= 0:
+                    if tok >= n_vars:
+                        raise ValueError(f"malformed axiom code at token {pos}")
+                    depth += 1
+                else:
+                    s = -tok - 1
+                    if s >= len(arities) or arities[s] > depth:
+                        raise ValueError(f"malformed axiom code at token {pos}")
+                    depth += 1 - arities[s]
+            if depth != 1:
+                raise ValueError("malformed axiom code: it must leave one value")
+
+
 def scan_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     """All operation-table assignments satisfying every axiom, by raw scan.
 
@@ -73,6 +97,7 @@ def scan_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     `axioms` is a list of (n_vars, lhs_code, rhs_code). Output is in ascending
     lexicographic order of the concatenated tables.
     """
+    _check_axioms(arities, axioms)
     offsets, total = _offsets(n, arities)
     compiled = [
         (list(product(range(n), repeat=n_vars)), lhs, rhs) for n_vars, lhs, rhs in axioms
@@ -155,6 +180,7 @@ def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     same depth as by the native pending-set scan, so both walk the same tree.
     The output is sorted into scan_tables' canonical order before returning.
     """
+    _check_axioms(arities, axioms)
     offsets, total = _offsets(n, arities)
     sym_order = sorted(
         range(len(arities)), key=lambda s: (arities[s] != 0, -(n ** arities[s]), s)

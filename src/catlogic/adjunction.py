@@ -14,9 +14,13 @@ conjugation with the canonical isomorphisms.
 
 transpose and untranspose are the plain maps across the bijection;
 check_adjunction verifies their round trip once per morphism and samples
-naturality triples by index (its docstring gives the order). lang, syn and
-canonical_iso each keep at most CACHE_SIZE entries; a cached iso keeps its
-inverse (BoolHom.inverse), so untranspose inverts it once per algebra.
+naturality triples by index (its docstring gives the order). Each naturality
+square's t . f and syn(t) . transpose(f) depend on (t, f) alone, so the check
+builds them once per (t, f) and reuses them for every (B', b); the squares,
+their order and the transpose_fn calls are those of a check without reuse.
+lang, syn and canonical_iso each keep at most CACHE_SIZE entries; a cached
+iso keeps its inverse (BoolHom.inverse), so untranspose inverts it once per
+algebra.
 """
 
 from __future__ import annotations
@@ -221,17 +225,22 @@ def _blocks_by_placement(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> li
 
 
 def _hom_from_images(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra, images) -> BoolHom:
-    atom_map = []
-    for j in range(C.atom_count):
-        sources = [i for i, c in enumerate(images) if (c >> j) & 1]
-        if len(sources) != 1:  # pragma: no cover - images partition the atoms
-            raise AssertionError("images do not partition the target atoms")
-        atom_map.append(sources[0])
-    return BoolHom(B, C, tuple(atom_map))
-
-
-def _atom_images(g: BoolHom) -> tuple[int, ...]:
-    return tuple(g(1 << i) for i in range(g.source.atom_count))
+    # one walk over the set bits of each image; a partition of C's atoms
+    # into B's atom images is exactly a valid atom map, so it is built
+    # unchecked once the partition is confirmed
+    k = C.atom_count
+    atom_map = [-1] * k
+    for i, c in enumerate(images):
+        while c:
+            low = c & -c
+            j = low.bit_length() - 1
+            if j >= k or atom_map[j] >= 0:
+                raise AssertionError("images do not partition the target atoms")
+            atom_map[j] = i
+            c ^= low
+    if -1 in atom_map or len(images) != B.atom_count:
+        raise AssertionError("images do not partition the target atoms")
+    return BoolHom._trusted(B, C, tuple(atom_map))
 
 
 @dataclass
@@ -288,6 +297,13 @@ def check_adjunction(
     then the empty theory, each hom list in enumeration order. At most 10**4
     triples are all checked in index order; beyond that, 500 indices drawn by
     random.Random(seed).randrange(total) are decoded in mixed radix.
+
+    t . f and syn(t) . transpose(f) are composed once per (t, f), keyed by the
+    index's (T', t) x f remainder in a dict local to the call (at most
+    min(#t * #f, checked) entries), and reused for every (B', b). Squares are
+    still checked in index order with the same `nat:{idx}` ids, and
+    transpose_fn is called exactly left + right + naturality_checked times,
+    in the same order as without the reuse.
     """
     if transpose_fn is None:
         transpose_fn = transpose
@@ -305,7 +321,7 @@ def check_adjunction(
     seen: set[int] = set()
     bijection_ok = len(left) == len(right)
     for i, g in enumerate(transposed):
-        key = _atom_images(g)
+        key = g.atom_images()
         j = right_index.get(key)
         if j is None or j in seen:
             bijection_ok = False
@@ -352,13 +368,20 @@ def check_adjunction(
         rng = random.Random(seed)
         indices = [rng.randrange(total) for _ in range(NATURALITY_SAMPLES)]
 
+    # t . f and syn(t) . transpose(f) depend on (t, f) alone, i.e. on the
+    # remainder `rest`: build them once and reuse them for every (B', b)
     naturality_ok = True
+    by_tf: dict[int, tuple[TheoryMorphism, BoolHom]] = {}
     for idx, index in enumerate(indices):
         ib, rest = divmod(index, len(ts) * len(left))
         it, i = divmod(rest, len(left))
         (Bp, b, lang_b), t, f = bs[ib], ts[it], left[i]
-        lhs = transpose_fn(Bp, t.compose(f).compose(lang_b))
-        rhs = t.hom.compose(transposed[i]).compose(b)
+        pair = by_tf.get(rest)
+        if pair is None:
+            pair = by_tf[rest] = (t.compose(f), t.hom.compose(transposed[i]))
+        tf, tg = pair
+        lhs = transpose_fn(Bp, tf.compose(lang_b))
+        rhs = tg.compose(b)
         if lhs != rhs:
             naturality_ok = False
             counterexamples.append(

@@ -179,6 +179,16 @@ class BoolHom:
                 out |= 1 << j
         return out
 
+    def atom_images(self) -> tuple[int, ...]:
+        """Image of each source atom, read off the atom map in one pass.
+
+        Entry i is self(1 << i): the set of target atoms mapped to atom i.
+        """
+        out = [0] * self.source.atom_count
+        for j, i in enumerate(self.atom_map):
+            out[i] |= 1 << j
+        return tuple(out)
+
     def image_table(self) -> list[int]:
         """Image of every source element, via the backend kernel."""
         return _core.hom_image_table(self.atom_map, self.source.atom_count, self.target.atom_count)
@@ -225,16 +235,17 @@ def verify_hom(h: BoolHom, exhaustive: bool = False) -> bool:
     meet/join preservation. A table that passes the join check is the join of
     its atom entries, so it still holds for a table built with the wrong atom
     images (say, permuted ones). The pass therefore also compares the table
-    at each of the m source atoms with h's own per-bit element map; agreeing
-    there, the two agree on every element, which makes the check exact at
-    O(m*k) extra cost. With exhaustive=True every element pair is checked
-    directly as well (quadratic, meant for small algebras).
+    at each of the m source atoms with the atom images h reads off its own
+    atom map in one pass (BoolHom.atom_images); agreeing there, the two agree
+    on every element, which makes the check exact at O(m + k) extra cost.
+    With exhaustive=True every element pair is checked directly as well
+    (quadratic, meant for small algebras).
     """
     img = h.image_table()
     if not _core.check_hom_table(img, h.source.atom_count, h.target.atom_count):
         return False
-    for i in range(h.source.atom_count):
-        if img[1 << i] != h(1 << i):
+    for i, image in enumerate(h.atom_images()):
+        if img[1 << i] != image:
             return False
     if exhaustive:
         top_s, top_t = h.source.top, h.target.top
@@ -257,7 +268,8 @@ def enumerate_homs(
     """All homomorphisms B -> C, in lexicographic atom-map order.
 
     There are |atoms(B)| ** |atoms(C)| of them; in particular none when B is
-    degenerate and C is not. Every returned hom passes verify_hom.
+    degenerate and C is not. Every returned hom passes verify_hom. Each atom
+    map is in range by construction, so the homs are built unchecked.
     """
     m, k = B.atom_count, C.atom_count
     count = m**k
@@ -265,7 +277,7 @@ def enumerate_homs(
         raise CapacityExceededError(f"{count} homs exceed the bound {bound}")
     out = []
     for atom_map in product(range(m), repeat=k):
-        h = BoolHom(B, C, atom_map)
+        h = BoolHom._trusted(B, C, atom_map)
         if not verify_hom(h):  # pragma: no cover - defensive; holds by construction
             raise AssertionError(f"enumerated hom failed preservation: {atom_map}")
         out.append(h)
@@ -303,22 +315,24 @@ def _require_prop(theory: Theory) -> Theory:
     return check_well_formed(theory)
 
 
-def satisfying_assignments(
-    theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND
-) -> list[TruthAssignment]:
-    """The assignments making every axiom true, in lexicographic order."""
+def _iter_models(theory: Theory, atom_bound: int) -> Iterator[TruthAssignment]:
     _require_prop(theory)
     letters = theory.letters
     if len(letters) > atom_bound:
         raise CapacityExceededError(
             f"{len(letters)} letters exceed the assignment bound {atom_bound}"
         )
-    out = []
     for bits in product((0, 1), repeat=len(letters)):
         assignment = TruthAssignment(letters, bits)
         if all(eval_formula(ax, assignment) for ax in theory.axioms):
-            out.append(assignment)
-    return out
+            yield assignment
+
+
+def satisfying_assignments(
+    theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND
+) -> list[TruthAssignment]:
+    """The assignments making every axiom true, in lexicographic order."""
+    return list(_iter_models(theory, atom_bound))
 
 
 @dataclass(frozen=True)
@@ -356,9 +370,18 @@ def _atoms_of(formula: Formula) -> list[Atom]:
 
 
 def lindenbaum_algebra(theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND) -> LindenbaumAlgebra:
-    models = satisfying_assignments(theory, atom_bound)
-    if len(models) > atom_bound:
-        raise CapacityExceededError(f"{len(models)} atoms exceed the bound {atom_bound}")
+    """The Lindenbaum algebra of a propositional theory.
+
+    Raises CapacityExceededError as soon as the model walk finds more than
+    atom_bound satisfying assignments, without walking the rest.
+    """
+    models = []
+    for assignment in _iter_models(theory, atom_bound):
+        if len(models) == atom_bound:
+            raise CapacityExceededError(
+                f"{atom_bound + 1} or more atoms exceed the bound {atom_bound}"
+            )
+        models.append(assignment)
     algebra = FiniteBooleanAlgebra(len(models), tuple(models))
     return LindenbaumAlgebra(theory, algebra)
 

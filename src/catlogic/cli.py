@@ -364,7 +364,7 @@ def cmd_brain(args, echo) -> int:
         report["seed"] = args.seed
         report["verdicts"]["structure"] = "pass"
 
-        findings = graph.validate(strict=False)
+        findings = graph.findings
         report["verdicts"]["composites"] = "pass" if not findings else "fail"
         report["counterexamples"].extend(findings)
 

@@ -125,6 +125,27 @@ class TestBlockEnumeration:
         by_maps = {tuple(h(1 << i) for i in range(2)) for h in enumerate_homs(B, C)}
         assert by_maps == set(enumerate_homs_by_blocks(B, C))
 
+    def test_blocks_rebuild_the_enumerated_atom_maps(self):
+        from catlogic.adjunction import _hom_from_images
+
+        for m in range(4):
+            for k in range(5):
+                B, C = FiniteBooleanAlgebra(m), FiniteBooleanAlgebra(k)
+                rebuilt = [_hom_from_images(B, C, images) for images in enumerate_homs_by_blocks(B, C)]
+                # same maps, each once (block order is not atom-map order)
+                assert sorted(h.atom_map for h in rebuilt) == [h.atom_map for h in enumerate_homs(B, C)]
+                assert all(h.source is B and h.target is C for h in rebuilt)
+
+    @pytest.mark.parametrize(
+        "images",
+        [(0b011, 0b110), (0b001, 0b010), (0b1000, 0b0111), (0b111,), (0b001, 0b010, 0b100)],
+    )
+    def test_non_partition_images_rejected(self, images):
+        from catlogic.adjunction import _hom_from_images
+
+        with pytest.raises(AssertionError, match="partition"):
+            _hom_from_images(FiniteBooleanAlgebra(2), FiniteBooleanAlgebra(3), images)
+
     def test_scan_and_recursive_placement_agree(self):
         from catlogic.adjunction import _blocks_by_placement, _blocks_by_scan
 
@@ -178,34 +199,30 @@ class TestCheckAdjunction:
         ids = {c["id"] for c in rep.counterexamples}
         assert len(ids) == len(rep.counterexamples)  # replayable: unique ids
 
-    def test_sampled_naturality_matches_materialised_reference(self):
-        (theory,) = parse_file(
-            "theory FIVE prop { letters x, y, z; axiom or(x, y); axiom not(and(x, and(y, z))); }"
-        )
-        B, seed = FiniteBooleanAlgebra(3), 41
-        assert syn(theory).atom_count == 5
+    @staticmethod
+    def _shift_at_three(A, f):
+        # corrupts every transpose into the 3-atom algebra, none into B'
+        g = transpose(A, f)
+        if A.atom_count == 3:
+            return BoolHom(g.source, g.target, tuple((i + 1) % 3 for i in g.atom_map))
+        return g
 
-        def corrupt(A, f):
-            g = transpose(A, f)
-            if A.atom_count == 3:
-                return BoolHom(g.source, g.target, tuple((i + 1) % 3 for i in g.atom_map))
-            return g
-
-        rep = check_adjunction(B, theory, seed=seed, transpose_fn=corrupt)
-
+    @staticmethod
+    def _naturality_reference(B, theory, aux_theories, corrupt, indices):
+        # materialise every (B', b, t, f) triple and check each square at
+        # the given indices from scratch, with no reuse across triples
         left = theory_morphisms(lang(B), theory)
-        aux = Theory(name="AUX", fragment=Fragment.PROP)
         triples = [
             (Bp, b, t, f)
             for Bp in (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
             for b in enumerate_homs(Bp, B)
-            for t in theory_morphisms(theory, aux)
+            for Tp in aux_theories
+            for t in theory_morphisms(theory, Tp)
             for f in left
         ]
-        rng = random.Random(seed)
-        sample = [triples[rng.randrange(len(triples))] for _ in range(500)]
         expected = []
-        for idx, (Bp, b, t, f) in enumerate(sample):
+        for idx, index in enumerate(indices(len(triples))):
+            Bp, b, t, f = triples[index]
             lhs = corrupt(Bp, t.compose(f).compose(lang_hom(b)))
             rhs = t.hom.compose(corrupt(B, f)).compose(b)
             if lhs != rhs:
@@ -219,8 +236,38 @@ class TestCheckAdjunction:
                         "f_atom_map": list(f.hom.atom_map),
                     }
                 )
+        return len(triples), expected
 
-        assert rep.naturality_total == len(triples) == 10935
+    def test_exhaustive_naturality_matches_materialised_reference(self, xor_pair):
+        B = FiniteBooleanAlgebra(3)
+        aux = Theory(name="AUX", fragment=Fragment.PROP)
+        rep = check_adjunction(B, xor_pair, transpose_fn=self._shift_at_three)
+        total, expected = self._naturality_reference(
+            B, xor_pair, (xor_pair, aux), self._shift_at_three, range
+        )
+        assert rep.naturality_total == total <= 10**4
+        assert rep.naturality_checked == total
+        assert expected
+        assert [c for c in rep.counterexamples if c["id"].startswith("nat:")] == expected
+
+    def test_sampled_naturality_matches_materialised_reference(self):
+        (theory,) = parse_file(
+            "theory FIVE prop { letters x, y, z; axiom or(x, y); axiom not(and(x, and(y, z))); }"
+        )
+        B, seed = FiniteBooleanAlgebra(3), 41
+        assert syn(theory).atom_count == 5
+
+        rep = check_adjunction(B, theory, seed=seed, transpose_fn=self._shift_at_three)
+
+        def sample(n):
+            rng = random.Random(seed)
+            return [rng.randrange(n) for _ in range(500)]
+
+        aux = Theory(name="AUX", fragment=Fragment.PROP)
+        total, expected = self._naturality_reference(
+            B, theory, (aux,), self._shift_at_three, sample
+        )
+        assert rep.naturality_total == total == 10935
         assert rep.naturality_checked == 500
         assert expected
         assert [c for c in rep.counterexamples if c["id"].startswith("nat:")] == expected

@@ -72,6 +72,29 @@ class TestTableKernels:
                 assert pure.scan_tables(n, [1], axioms) == native.scan_tables(n, [1], axioms)
                 assert pure.search_tables(n, [1], axioms) == native.search_tables(n, [1], axioms)
 
+    @pytest.mark.parametrize(
+        "axiom",
+        [
+            (2, (0, -1), (0,)),  # a binary symbol applied to one argument
+            (1, (1,), (0,)),  # variable 1 of a one-variable axiom
+            (1, (0, -2), (0,)),  # symbol 1 of a one-symbol signature
+            (1, (0,), (0, 0)),  # a side that leaves two values
+            (1, (0,), ()),  # a side that leaves none
+            (-1, (0,), (0,)),  # a negative variable count
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_malformed_code_rejected_by_both(self, native, axiom, n):
+        # the well-formed first axiom must not hide the malformed second one
+        axioms = [(1, (0, 0, -1), (0,)), axiom]
+        for kernel in ("scan_tables", "search_tables"):
+            messages = []
+            for impl in (pure, native):
+                with pytest.raises(ValueError) as exc:
+                    getattr(impl, kernel)(n, [2], axioms)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
 
 class TestHomKernels:
     def test_image_tables_agree(self, native):

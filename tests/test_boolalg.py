@@ -64,6 +64,12 @@ class TestLindenbaum:
         assert lin.algebra.element_count == 1
         assert lin.algebra.top == lin.algebra.bottom
 
+    def test_model_walk_stops_past_the_bound(self):
+        theory = parse_theory("theory F prop { letters a, b, c; }")
+        assert lindenbaum_algebra(theory, atom_bound=8).algebra.atom_count == 8
+        with pytest.raises(CapacityExceededError, match="^8 or more atoms exceed the bound 7$"):
+            lindenbaum_algebra(theory, atom_bound=7)
+
     def test_axioms_land_on_top(self, xor_pair):
         lin = lindenbaum_algebra(xor_pair)
         for ax in xor_pair.axioms:
@@ -191,6 +197,17 @@ class TestHoms:
             assert h.compose(g.compose(f)) == h.compose(g).compose(f)
             assert f.compose(BoolHom.identity(A)) == f
             assert BoolHom.identity(B).compose(f) == f
+
+    def test_atom_images_match_per_bit_element_map(self):
+        rng = random.Random(10)
+        for m in range(7):
+            for k in range(7):
+                if m == 0 and k > 0:
+                    continue  # no homs from the one-element algebra
+                A, B = FiniteBooleanAlgebra(m), FiniteBooleanAlgebra(k)
+                for _ in range(5):
+                    h = BoolHom(A, B, tuple(rng.randrange(m) for _ in range(k)))
+                    assert h.atom_images() == tuple(h(1 << i) for i in range(m))
 
     def test_composition_matches_element_maps(self):
         rng = random.Random(9)

@@ -81,6 +81,8 @@ class TestLoad:
         graph = load_brain(text, strict=False)
         findings = graph.validate(strict=False)
         assert findings and findings[0]["kind"] == "composite-mismatch"
+        assert graph.findings == findings  # kept by load_brain's own pass
+        assert load_brain(fixture_text("brain_two.brain")).findings == []
 
     def test_syntax_error(self):
         with pytest.raises(TheorySyntaxError):

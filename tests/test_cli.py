@@ -114,6 +114,19 @@ class TestStone:
         code, _, _ = run(capsys, "stone", PROPS, "NOPE")
         assert code == 2
 
+    def test_too_many_atoms_is_a_prompt_input_error(self, capsys, tmp_path):
+        import time
+
+        # 2**20 models: the walk must stop at the 21st, not enumerate them all
+        free = tmp_path / "free20.thy"
+        letters = ", ".join(f"p{i:02d}" for i in range(20))
+        free.write_text(f"theory FREE20 prop {{ letters {letters}; }}\n")
+        t0 = time.perf_counter()
+        code, report, _ = run_json(capsys, "stone", str(free), "FREE20")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert report["error"] == "21 or more atoms exceed the bound 20"
+
 
 class TestModels:
     @pytest.mark.parametrize("size,count", [(2, 2), (4, 16)])
@@ -251,6 +264,22 @@ class TestBrain:
         )
         assert code2 == 1
         assert replay["reproduced"] is True
+
+    def test_check_validates_the_graph_once(self, capsys, monkeypatch):
+        from catlogic.brain import BrainGraph
+
+        calls = []
+        validate = BrainGraph.validate
+
+        def counting(self, strict=True):
+            calls.append(strict)
+            return validate(self, strict)
+
+        monkeypatch.setattr(BrainGraph, "validate", counting)
+        code, report, _ = run_json(capsys, "brain", "check", BRAIN_BAD)
+        assert code == 1
+        assert calls == [False]
+        assert [c["id"] for c in report["counterexamples"]][0] == "composite:a3"
 
     def test_run_constant_trace_on_identity(self, capsys, tmp_path):
         code, report, _ = run_json(
