@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 from .boolalg import (
     BoolHom,
@@ -37,7 +36,7 @@ from .boolalg import (
     lindenbaum_algebra,
     verify_hom,
 )
-from .errors import CapacityExceededError, FragmentViolationError
+from .errors import CapacityExceededError
 from .kernel import (
     And,
     Atom,
@@ -48,7 +47,6 @@ from .kernel import (
     Or,
     RelationSymbol,
     Theory,
-    check_well_formed,
 )
 
 LANG_ATOM_BOUND = 4
@@ -64,16 +62,16 @@ def _iff(a: Formula, b: Formula) -> Formula:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def lang(B: FiniteBooleanAlgebra, atom_bound: int = LANG_ATOM_BOUND) -> Theory:
+def lang(B: FiniteBooleanAlgebra) -> Theory:
     """The diagram theory of B: a letter per element, axioms per table entry.
 
     Letters are e0, e1, ... (zero padded) indexed by element mask. The
     Lindenbaum algebra of the result is canonically isomorphic to B; see
     canonical_iso for the verified witness.
     """
-    if B.atom_count > atom_bound:
+    if B.atom_count > LANG_ATOM_BOUND:
         raise CapacityExceededError(
-            f"lang of a {B.atom_count}-atom algebra exceeds the bound {atom_bound}"
+            f"lang of a {B.atom_count}-atom algebra exceeds the bound {LANG_ATOM_BOUND}"
         )
     size = B.element_count
     width = len(str(size - 1))
@@ -97,9 +95,7 @@ def lang(B: FiniteBooleanAlgebra, atom_bound: int = LANG_ATOM_BOUND) -> Theory:
 @lru_cache(maxsize=CACHE_SIZE)
 def syn(theory: Theory) -> FiniteBooleanAlgebra:
     """Syn of a propositional theory: its Lindenbaum algebra."""
-    if theory.fragment is not Fragment.PROP:
-        raise FragmentViolationError(f"theory {theory.name} is not propositional")
-    return lindenbaum_algebra(check_well_formed(theory)).algebra
+    return lindenbaum_algebra(theory).algebra
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -174,38 +170,14 @@ def enumerate_homs_by_blocks(
     """Second, independent hom enumeration: homs B -> C as atom-image tuples.
 
     A hom is exactly a choice of pairwise-disjoint images for B's atoms that
-    join to C's top (a labelled partition of C's atom set). Small instances
-    scan all element tuples outright; larger ones build the partitions by
-    recursive placement. Neither path shares code with
+    join to C's top (a labelled partition of C's atom set). The partitions
+    are built by placing each atom of C in one block, m**k leaves in all,
+    and returned in sorted order. This shares no code with
     boolalg.enumerate_homs, and the two agree (see the test suite).
     """
     m = B.atom_count
-    if C.element_count**m <= BLOCK_ENUM_BOUND:
-        return _blocks_by_scan(B, C)
     if m**C.atom_count > BLOCK_ENUM_BOUND:
         raise CapacityExceededError("block enumeration out of capacity")
-    return _blocks_by_placement(B, C)
-
-
-def _blocks_by_scan(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:
-    out = []
-    for images in product(C.elements(), repeat=B.atom_count):
-        union = 0
-        disjoint = True
-        for c in images:
-            if union & c:
-                disjoint = False
-                break
-            union |= c
-        if disjoint and union == C.top:
-            out.append(images)
-    return out
-
-
-def _blocks_by_placement(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> list[tuple[int, ...]]:
-    m = B.atom_count
-    if m == 0:
-        return [()] if C.atom_count == 0 else []
     out: list[tuple[int, ...]] = []
     images = [0] * m
 

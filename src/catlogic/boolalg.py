@@ -18,7 +18,6 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -94,10 +93,6 @@ class FiniteBooleanAlgebra:
     def element_count(self) -> int:
         return 1 << self.atom_count
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.atom_count == 0
-
     def elements(self) -> range:
         return range(1 << self.atom_count)
 
@@ -128,9 +123,6 @@ class FiniteBooleanAlgebra:
 
     def is_atom(self, e: int) -> bool:
         return e != 0 and e & (e - 1) == 0
-
-    def atoms_below(self, e: int) -> list[int]:
-        return [i for i in range(self.atom_count) if (e >> i) & 1]
 
     def check(self, e: int) -> int:
         if not 0 <= e < self.element_count:
@@ -386,7 +378,6 @@ def lindenbaum_algebra(theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND) -> 
     return LindenbaumAlgebra(theory, algebra)
 
 
-@lru_cache(maxsize=None)
 def _axiomless_theory(letters: tuple[str, ...]) -> Theory:
     from .kernel import RelationSymbol
 

@@ -72,9 +72,6 @@ class FiniteModel:
             idx = idx * self.size_of(s) + a
         return tab[idx]
 
-    def letter_value(self, name: str) -> int:
-        return self.letter_values[self.theory.letters.index(name)]
-
     def describe(self) -> dict:
         if self.theory.fragment is Fragment.PROP:
             return {"letters": dict(zip(self.theory.letters, self.letter_values))}

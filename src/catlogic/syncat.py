@@ -159,12 +159,6 @@ def reduced_words(n_generators: int, max_letters: int) -> list[tuple[int, ...]]:
     return out
 
 
-def word_length(term: Term, sig: GroupSignature) -> int:
-    """Letters in the reduced word of a term (its depth for truncations)."""
-    names = sorted({v.name for v in _vars_of(term)})
-    return len(word_of_term(term, sig, {n: i for i, n in enumerate(names)}))
-
-
 def _vars_of(term: Term) -> set[Variable]:
     if isinstance(term, Variable):
         return {term}
@@ -206,13 +200,13 @@ def _rewrite_once(term: Term, rules) -> Term | None:
     return None
 
 
-def rewrite_normal_form(term: Term, rules, step_cap: int = _REWRITE_STEP_CAP) -> Term:
-    for _ in range(step_cap):
+def rewrite_normal_form(term: Term, rules) -> Term:
+    for _ in range(_REWRITE_STEP_CAP):
         nxt = _rewrite_once(term, rules)
         if nxt is None:
             return term
         term = nxt
-    raise CapacityExceededError(f"rewriting did not terminate within {step_cap} steps")
+    raise CapacityExceededError(f"rewriting did not terminate within {_REWRITE_STEP_CAP} steps")
 
 
 # ---------------------------------------------------------------------------

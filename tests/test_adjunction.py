@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -147,12 +148,25 @@ class TestBlockEnumeration:
             _hom_from_images(FiniteBooleanAlgebra(2), FiniteBooleanAlgebra(3), images)
 
     def test_scan_and_recursive_placement_agree(self):
-        from catlogic.adjunction import _blocks_by_placement, _blocks_by_scan
+        # reference: every tuple of C's elements whose entries are pairwise
+        # disjoint and join to C's top, in lexicographic order
+        def blocks_by_scan(B, C):
+            out = []
+            for images in product(C.elements(), repeat=B.atom_count):
+                union = 0
+                for c in images:
+                    if union & c:
+                        break
+                    union |= c
+                else:
+                    if union == C.top:
+                        out.append(images)
+            return out
 
         for m in range(4):
             for k in range(5):
                 B, C = FiniteBooleanAlgebra(m), FiniteBooleanAlgebra(k)
-                assert _blocks_by_scan(B, C) == _blocks_by_placement(B, C)
+                assert enumerate_homs_by_blocks(B, C) == blocks_by_scan(B, C)
 
 
 class TestCheckAdjunction:

@@ -23,6 +23,62 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+# (kind, theory file, brain file, start of the error message); "{bad}" stands
+# for the directory made by the `bad` fixture
+_BAD_FILES = [
+    ("missing", "{bad}/missing.thy", "{bad}/missing.brain", "[Errno 2] No such file"),
+    ("directory", "{bad}", "{bad}", "[Errno 21] Is a directory"),
+    ("non-utf8", "{bad}/latin1.thy", "{bad}/latin1.brain", "syntax: 2:"),
+    ("syntax", "{bad}/syntax.thy", "{bad}/syntax.brain", "syntax: 1:"),
+]
+_THEORY_COMMANDS = [
+    ("check", "{path}"),
+    ("stone", "{path}", "XOR_PAIR"),
+    ("models", "{path}", "XOR_PAIR", "1"),
+    ("syn", "{path}", "XOR_PAIR"),
+    ("adjoint", "{path}", "XOR_PAIR"),
+]
+# the CLI contract table: (id, argv, start of the error message)
+BAD_INPUT_ROWS = (
+    [
+        (f"{cmd[0]}-{kind}", tuple(a.format(path=thy) for a in cmd), error)
+        for kind, thy, _, error in _BAD_FILES
+        for cmd in _THEORY_COMMANDS
+    ]
+    + [
+        (f"brain-{sub}-{kind}", ("brain", sub, brain_path), error)
+        for kind, _, brain_path, error in _BAD_FILES
+        for sub in ("check", "run", "export")
+    ]
+    + [
+        (f"{cmd[0]}-unknown-theory", (cmd[0], PROPS, "NOPE", *cmd[3:]), "'NOPE'")
+        for cmd in _THEORY_COMMANDS[1:]
+    ]
+    + [
+        (f"{cmd}-wrong-fragment", (cmd, GROUP, "GROUP"), "theory GROUP is not propositional")
+        for cmd in ("stone", "adjoint")
+    ]
+    + [
+        (
+            "adjoint-atoms-5",
+            ("adjoint", PROPS, "XOR_PAIR", "--atoms", "5"),
+            "free algebra on 5 letters needs 32 atoms (bound 20)",
+        ),
+        ("brain-run-steps-10001", ("brain", "run", BRAIN_TWO, "--steps", "10001"), "10001 steps exceed the bound 10000"),
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def bad(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bad")
+    (d / "latin1.thy").write_bytes(b"theory P prop {\n  letters a\xff; }\n")
+    (d / "latin1.brain").write_bytes(b"brain B {\n  neuron n\xff;\n}\n")
+    (d / "syntax.thy").write_text("theory ( {")
+    (d / "syntax.brain").write_text("brain ( {")
+    return str(d)
+
+
 class TestCheck:
     def test_group_passes(self, capsys):
         code, report, _ = run_json(capsys, "check", GROUP)
@@ -346,6 +402,19 @@ class TestBrain:
         assert "atom index 5" in report["error"]
 
 
+class TestContract:
+    @pytest.mark.parametrize(
+        "argv, error", [pytest.param(argv, error, id=name) for name, argv, error in BAD_INPUT_ROWS]
+    )
+    def test_bad_input_is_one_error_line_and_exit_two(self, capsys, bad, argv, error):
+        # main returns (no exception escapes it) with one report and one line
+        code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        report = json.loads(out)
+        assert code == 2
+        assert report["error"].startswith(error)
+        assert err.splitlines() == [f"error: {report['error']}"]
+
+
 class TestSubprocess:
     def test_reports_identical_across_processes_and_hash_seeds(self):
         import os
@@ -372,9 +441,11 @@ class TestDeterminism:
             ("adjoint", PROPS, "XOR_PAIR", "--atoms", "1"),
             ("brain", "check", BRAIN_TWO),
             ("brain", "export", BRAIN_TWO),
+            *(pytest.param(argv, id=name) for name, argv, _ in BAD_INPUT_ROWS),
         ],
     )
-    def test_double_invocation_byte_identical(self, capsys, argv):
+    def test_double_invocation_byte_identical(self, capsys, bad, argv):
+        argv = [a.format(bad=bad) for a in argv]
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
