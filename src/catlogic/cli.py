@@ -122,6 +122,12 @@ def _theory(args, prop: bool = False):
     return theory, _digest(data)
 
 
+def _require_nonnegative(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise ArgumentError(f"{name} {value} is negative")
+
+
 def _brain(args, strict: bool):
     """The brain in args.path, and the file's digest."""
     data = _read(args.path)
@@ -195,8 +201,7 @@ def cmd_stone(args, echo) -> int:
 
 def cmd_models(args, echo) -> int:
     theory, digest = _theory(args)
-    if args.size < 0:
-        raise ArgumentError(f"size {args.size} is negative")
+    _require_nonnegative(size=args.size)
 
     report = _base_report(echo, digest)
     try:
@@ -217,6 +222,7 @@ def cmd_models(args, echo) -> int:
 
 def cmd_syn(args, echo) -> int:
     theory, digest = _theory(args)
+    _require_nonnegative(depth=args.depth, samples=args.samples)
     report = _base_report(echo, digest)
     if theory.fragment is Fragment.PROP:
         cat = syncat.syn_prop(theory)
@@ -254,6 +260,7 @@ def cmd_syn(args, echo) -> int:
 
 def cmd_adjoint(args, echo) -> int:
     theory, digest = _theory(args, prop=True)
+    _require_nonnegative(atoms=args.atoms)
 
     import random
 

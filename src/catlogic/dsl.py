@@ -21,12 +21,16 @@ as two); deeper input is a syntax error rather than a stack overflow later.
 Constants are declared `op u : -> X;`. In equational axioms, unquantified
 identifiers that are not declared constants are variables; their sorts are
 inferred from the positions they occupy.
+
+The lexer is one regular expression; a token keeps its offsets, line and
+column, and builds its `SourceSpan` only when read. Parse trees keep their
+head token, so a span exists only for an axiom (`Theory.axiom_spans`), a
+diagnostic or an error.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
 
 from .errors import Diagnostic, InvalidTheoryError, SourceSpan, TheorySyntaxError
 from .kernel import (
@@ -59,74 +63,72 @@ KEYWORDS = frozenset(
 # 200 levels stay well inside Python's default recursion limit of 1000.
 MAX_NESTING = 200
 
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_")
-_PUNCT = {"{", "}", "(", ")", ";", ",", ":", "="}
+# One alternation in the spirit of the tokenizer recipe of the `re` docs.
+# Digits are ASCII only: `str.isdigit` also admits '²' and '٣'. `.`, `[` and
+# `]` are used by the brain format, tokenized here so both parsers share one
+# lexer. `bad` matches any character no other group takes.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<arrow>->)"
+    r"|(?P<punct>[{}();,:=.\[\]])"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "ident", "punct", "arrow", "eof"
-    text: str
-    span: SourceSpan
+    """One token; its SourceSpan is built only when something reads `span`."""
+
+    __slots__ = ("kind", "text", "start", "end", "line", "column")
+
+    def __init__(self, kind: str, text: str, start: int, end: int, line: int, column: int):
+        self.kind = kind  # "ident", "punct", "arrow", "number", "eof"
+        self.text = text
+        self.start = start
+        self.end = end
+        self.line = line
+        self.column = column
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, self.start, self.end)
+
+
+def _scan(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    mo = None
+    for mo in _TOKEN_RE.finditer(text):
+        kind = mo.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = mo.end()
+            continue
+        start = mo.start()
+        if kind == "bad":
+            raise TheorySyntaxError(
+                f"unexpected character {mo.group()!r}",
+                SourceSpan(line, start - line_start + 1, start, start + 1),
+            )
+        append(_Token(kind, mo.group(), start, mo.end(), line, start - line_start + 1))
+    # a comment does not advance the column, so after a trailing comment
+    # with no newline the eof token sits at the column of its `#`
+    n = len(text)
+    tail = mo.start() if mo is not None and mo.lastgroup == "comment" else n
+    append(_Token("eof", "", n, n, line, tail - line_start + 1))
+    return tokens
 
 
 class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(self._scan())
+        self.tokens = _scan(text)
         self.pos = 0
-
-    def _scan(self):
-        text = self.text
-        i, line, col = 0, 1, 1
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                i += 1
-                line += 1
-                col = 1
-                continue
-            if c in " \t\r":
-                i += 1
-                col += 1
-                continue
-            if c == "#":
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            start, sline, scol = i, line, col
-            if c in _IDENT_START:
-                while i < n and text[i] in _IDENT_CONT:
-                    i += 1
-                col += i - start
-                yield _Token("ident", text[start:i], SourceSpan(sline, scol, start, i))
-                continue
-            if c == "-" and i + 1 < n and text[i + 1] == ">":
-                i += 2
-                col += 2
-                yield _Token("arrow", "->", SourceSpan(sline, scol, start, i))
-                continue
-            if c == "." or c == "[" or c == "]":
-                # used by the brain format, tokenized here so both parsers share one lexer
-                i += 1
-                col += 1
-                yield _Token("punct", c, SourceSpan(sline, scol, start, i))
-                continue
-            if c in _PUNCT:
-                i += 1
-                col += 1
-                yield _Token("punct", c, SourceSpan(sline, scol, start, i))
-                continue
-            if c.isdigit():
-                while i < n and text[i].isdigit():
-                    i += 1
-                col += i - start
-                yield _Token("number", text[start:i], SourceSpan(sline, scol, start, i))
-                continue
-            raise TheorySyntaxError(f"unexpected character {c!r}", SourceSpan(line, col, i, i + 1))
-        yield _Token("eof", "", SourceSpan(line, col, n, n))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -169,11 +171,20 @@ class _ResolveError(Exception):
 # Untyped parse trees for axiom bodies; sorts are resolved in a second pass.
 
 
-@dataclass(frozen=True)
 class _PTerm:
-    name: str
-    args: tuple | None  # None means a bare identifier
-    span: SourceSpan
+    """An identifier with optional arguments; its span is built from the head
+    token only when a diagnostic reports it."""
+
+    __slots__ = ("name", "args", "head")
+
+    def __init__(self, head: _Token, args: tuple | None):
+        self.name = head.text
+        self.args = args  # None means a bare identifier
+        self.head = head
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.head.span
 
 
 def _check_nesting(depth: int, tok: _Token) -> None:
@@ -191,8 +202,8 @@ def _parse_pterm(lx: _Lexer, depth: int = 0) -> _PTerm:
             lx.next()
             args.append(_parse_pterm(lx, depth + 1))
         lx.expect(")")
-        return _PTerm(head.text, tuple(args), head.span)
-    return _PTerm(head.text, None, head.span)
+        return _PTerm(head, tuple(args))
+    return _PTerm(head, None)
 
 
 def _parse_formula(lx: _Lexer, th: "_TheoryBuilder", depth: int = 0) -> Formula:
@@ -236,10 +247,9 @@ def _parse_formula(lx: _Lexer, th: "_TheoryBuilder", depth: int = 0) -> Formula:
 class _TheoryBuilder:
     """Symbol tables, sort inference and diagnostics for one theory block."""
 
-    def __init__(self, name: str, fragment: Fragment, span: SourceSpan):
+    def __init__(self, name: str, fragment: Fragment):
         self.name = name
         self.fragment = fragment
-        self.span = span
         self.sorts: dict[str, Sort] = {}
         self.functions: dict[str, FunctionSymbol] = {}
         self.relations: dict[str, RelationSymbol] = {}
@@ -251,10 +261,10 @@ class _TheoryBuilder:
         self.rewrites: list[RewriteRule] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def sort(self, name: str, span: SourceSpan) -> Sort:
-        s = self.sorts.get(name)
+    def sort(self, tok: _Token) -> Sort:
+        s = self.sorts.get(tok.text)
         if s is None:
-            raise _ResolveError("unknown-symbol", f"undeclared sort {name}", span)
+            raise _ResolveError("unknown-symbol", f"undeclared sort {tok.text}", tok.span)
         return s
 
     def resolve_atom(self, p: _PTerm) -> Formula:
@@ -343,7 +353,8 @@ class _TheoryBuilder:
         return term
 
     def add_axiom(self, formula: Formula, span: SourceSpan) -> None:
-        self.axioms.append(self._close_formula(formula, span))
+        self._check_variable_sorts(formula, span)
+        self.axioms.append(formula)
         self.axiom_spans.append(span)
 
     def finish(self) -> Theory:
@@ -364,18 +375,19 @@ class _TheoryBuilder:
             raise InvalidTheoryError(diagnostics)
         return theory
 
-    def _close_formula(self, formula: Formula, span: SourceSpan) -> Formula:
-        # unify variable sorts across one axiom; a variable left open anywhere
-        # it occurs takes the sort it got elsewhere in the same axiom
+    def _check_variable_sorts(self, formula: Formula, span: SourceSpan) -> None:
+        # one axiom is universally closed, so a variable has one sort across
+        # it. No variable is open here: an argument takes its sort from the
+        # symbol's domain, and resolve_equation fixes (or rejects) a bare
+        # variable side, so the formula is kept as it was resolved.
         sorts: dict[str, Sort] = {}
         conflicts: set[str] = set()
 
         def collect(e):
             if isinstance(e, Variable):
-                if e.sort is not _OPEN_SORT:
-                    if e.name in sorts and sorts[e.name] != e.sort:
-                        conflicts.add(e.name)
-                    sorts[e.name] = e.sort
+                if e.name in sorts and sorts[e.name] != e.sort:
+                    conflicts.add(e.name)
+                sorts[e.name] = e.sort
             elif isinstance(e, App):
                 for a in e.args:
                     collect(a)
@@ -396,32 +408,6 @@ class _TheoryBuilder:
             name = sorted(conflicts)[0]
             raise _ResolveError("sort-mismatch", f"variable {name} used at two different sorts", span)
 
-        def close(e):
-            if isinstance(e, Variable):
-                if e.sort is not _OPEN_SORT:
-                    return e
-                sort = sorts.get(e.name)
-                if sort is None and len(self.decl_sorts) == 1:
-                    sort = self.decl_sorts[0]
-                if sort is None:
-                    raise _ResolveError(
-                        "sort-mismatch", f"cannot infer the sort of variable {e.name}", span
-                    )
-                return Variable(e.name, sort)
-            if isinstance(e, App):
-                return App(e.symbol, tuple(close(a) for a in e.args))
-            if isinstance(e, Atom):
-                return Atom(e.symbol, tuple(close(a) for a in e.args))
-            if isinstance(e, Equation):
-                return Equation(close(e.lhs), close(e.rhs))
-            if isinstance(e, Not):
-                return Not(close(e.operand))
-            if isinstance(e, (And, Or, Implies)):
-                return type(e)(close(e.lhs), close(e.rhs))
-            return e
-
-        return close(formula)
-
 
 _OPEN_SORT = Sort("\x00open")  # parse-time placeholder, never escapes this module
 
@@ -436,7 +422,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
         fragment = Fragment.EQ
     else:
         raise TheorySyntaxError("expected 'prop' or 'eq'", frag_tok.span)
-    th = _TheoryBuilder(name_tok.text, fragment, name_tok.span)
+    th = _TheoryBuilder(name_tok.text, fragment)
     lx.expect("{")
     while lx.peek().text != "}":
         tok = lx.next()
@@ -458,11 +444,11 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                 domain = []
                 if lx.peek().kind == "ident":
                     s_tok = lx.expect_ident()
-                    domain.append(th.sort(s_tok.text, s_tok.span))
+                    domain.append(th.sort(s_tok))
                     while lx.peek().text == ",":
                         lx.next()
                         s_tok = lx.expect_ident()
-                        domain.append(th.sort(s_tok.text, s_tok.span))
+                        domain.append(th.sort(s_tok))
                 lx.expect("->")
                 cod_tok = lx.expect_ident()
                 if ident.text in th.functions:
@@ -471,7 +457,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                     )
                 else:
                     fn = FunctionSymbol(
-                        ident.text, tuple(domain), th.sort(cod_tok.text, cod_tok.span)
+                        ident.text, tuple(domain), th.sort(cod_tok)
                     )
                     th.functions[ident.text] = fn
                     th.decl_functions.append(fn)

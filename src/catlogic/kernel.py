@@ -146,6 +146,8 @@ class Theory:
     # structural equality so round-tripping compares clean
     axiom_spans: tuple = field(default=(), compare=False, repr=False)
 
+    _normal = None  # not a field: syncat keeps the derived (group signature, normaliser) here
+
     @property
     def letters(self) -> tuple[str, ...]:
         """Propositional letter names in canonical (sorted) order."""

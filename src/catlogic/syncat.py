@@ -232,13 +232,22 @@ def _normalizer(theory: Theory, sig: GroupSignature | None) -> Callable[[Term], 
     )
 
 
+def _prepared(theory: Theory) -> tuple[GroupSignature | None, Callable[[Term], Term]]:
+    """The theory's group signature (or None) and normal-form function,
+    derived on first use and kept on the theory instance."""
+    if theory._normal is None:
+        sig = detect_group_presentation(theory)
+        theory.__dict__["_normal"] = (sig, _normalizer(theory, sig))
+    return theory._normal
+
+
 def normalize(theory: Theory, term: Term) -> Term:
     """Unique normal form of a term under the theory's decision procedure.
 
     Idempotent; terms provably equal under the axioms share a normal form
     (for a group presentation this is the free-group word decision).
     """
-    return _normalizer(theory, detect_group_presentation(theory))(term)
+    return _prepared(theory)[1](term)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +375,7 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
     if theory.fragment is not Fragment.EQ:
         raise FragmentViolationError(f"theory {theory.name} is not equational")
     check_well_formed(theory)
-    sig = detect_group_presentation(theory)
-    norm = _normalizer(theory, sig)
+    sig, norm = _prepared(theory)
 
     from itertools import product as _product
 

@@ -65,6 +65,20 @@ BAD_INPUT_ROWS = (
             "free algebra on 5 letters needs 32 atoms (bound 20)",
         ),
         ("brain-run-steps-10001", ("brain", "run", BRAIN_TWO, "--steps", "10001"), "10001 steps exceed the bound 10000"),
+        # counts are ASCII digits: '²' passed str.isdigit and then broke int()
+        (
+            "brain-check-superscript-digit",
+            ("brain", "check", "{bad}/superscript.brain"),
+            "syntax: 2:19: unexpected character '²'",
+        ),
+        (
+            "brain-check-arabic-indic-digit",
+            ("brain", "check", "{bad}/arabic.brain"),
+            "syntax: 2:19: unexpected character '٣'",
+        ),
+        ("syn-samples-negative", ("syn", PROPS, "XOR_PAIR", "--samples", "-5"), "samples -5 is negative"),
+        ("syn-depth-negative", ("syn", GROUP, "GROUP", "--depth", "-1"), "depth -1 is negative"),
+        ("adjoint-atoms-negative", ("adjoint", PROPS, "XOR_PAIR", "--atoms", "-3"), "atoms -3 is negative"),
     ]
 )
 
@@ -76,6 +90,8 @@ def bad(tmp_path_factory):
     (d / "latin1.brain").write_bytes(b"brain B {\n  neuron n\xff;\n}\n")
     (d / "syntax.thy").write_text("theory ( {")
     (d / "syntax.brain").write_text("brain ( {")
+    (d / "superscript.brain").write_text("brain B {\n  neuron n0 atoms=²;\n}\n", encoding="utf-8")
+    (d / "arabic.brain").write_text("brain B {\n  neuron n0 atoms=٣;\n}\n", encoding="utf-8")
     return str(d)
 
 

@@ -176,6 +176,36 @@ class TestNormalize:
         with pytest.raises(NoNormalizerError):
             normalize(group_alt_theory, Variable("x", X))
 
+    @pytest.mark.parametrize("name", ["group.thy", "idempotent.thy"])
+    def test_normalizer_derived_once_per_theory(self, monkeypatch, name):
+        import catlogic.syncat as syncat
+
+        theory = parse_theory(fixture_text(name))  # a fresh instance: nothing derived yet
+        real = syncat.detect_group_presentation
+        fresh = syncat._normalizer(theory, real(theory))
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(syncat, "detect_group_presentation", counting)
+        sort = theory.sorts[0]
+        rng = random.Random(40)
+
+        def term(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return Variable(rng.choice("xyz"), sort)
+            fn = rng.choice(theory.functions)
+            return App(fn, tuple(term(depth - 1) for _ in range(fn.arity)))
+
+        terms = [term(4) for _ in range(40)]
+        assert [normalize(theory, t) for t in terms] == [fresh(t) for t in terms]
+        assert calls == [theory]
+        syn_eq(theory, 2)
+        assert calls == [theory]
+        assert theory == parse_theory(fixture_text(name))  # not a field
+
 
 class TestReducedWords:
     def test_one_generator_length_three(self):
