@@ -6,7 +6,8 @@ Run from the repository root:
 
 Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
-search on both group presentations, powerset-hom verification, and one
+search on both group presentations, 200 calls of each table kernel at n=2
+(the per-call set-up), powerset-hom verification, and one
 Lang/Syn adjunction check whose hom enumerations run on the backend's hom
 kernels.
 """
@@ -63,7 +64,16 @@ def workloads():
             img = impl.hom_image_table(amap, 16, 16)
             assert impl.check_hom_table(img, 16, 16)
 
+    def x200(kernel):
+        # 200 calls on a tiny table space, so the per-call set-up dominates
+        def run(impl):
+            return [getattr(impl, kernel)(2, GROUP_ARITIES, GROUP_AXIOMS) for _ in range(200)]
+
+        return run
+
     yield "reduce_word x20k", run_words, 3
+    yield "search_tables group n=2 x200", x200("search_tables"), 3
+    yield "scan_tables group n=2 x200", x200("scan_tables"), 3
     yield "scan_tables group n=3 (oracle)", lambda impl: impl.scan_tables(
         3, GROUP_ARITIES, GROUP_AXIOMS
     ), 1

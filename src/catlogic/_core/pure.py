@@ -8,6 +8,13 @@ token < 0 applies function symbol (-token - 1), popping its arity arguments
 (leftmost argument deepest). Tables are flat row-major blocks concatenated in
 symbol order; `arities` gives each symbol's argument count.
 
+The table kernels do not interpret the bytecode. Each call specialises it
+to the signature and carrier size (the first Futamura projection): one
+Python factory per axiom, built from integers only and compiled once, which
+turns each instance's environment into a closure with its fixed cells
+precomputed. The generic interpreters they replace are kept in
+tests/reference_kernels.py as the reference both kernels are tested against.
+
 The pruned search keeps a watch list per cell: each axiom instance waits on
 the first unassigned cell it reads and is re-evaluated only when that cell
 is assigned. `_native.search_tables` instead rescans every pending instance
@@ -22,7 +29,8 @@ element instead, so the two tabulate by different algorithms.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, starmap
+from operator import index
 
 BACKEND = "pure"
 
@@ -50,34 +58,18 @@ def _offsets(n: int, arities) -> tuple[list[int], int]:
     return offsets, total
 
 
-def _eval_code(code, env, tables, offsets, arities, n: int) -> int:
-    stack: list[int] = []
-    for tok in code:
-        if tok >= 0:
-            stack.append(env[tok])
-        else:
-            s = -tok - 1
-            k = arities[s]
-            idx = 0
-            for a in stack[len(stack) - k :]:
-                idx = idx * n + a
-            del stack[len(stack) - k :]
-            stack.append(tables[offsets[s] + idx])
-    return stack[-1]
-
-
 def _check_axioms(arities, axioms) -> None:
     # the native kernels' rules, applied once per axiom: a variable token
     # names one of the axiom's variables, a symbol token one of the symbols,
     # every application finds its arguments on the stack, and each side
-    # leaves exactly one value
+    # leaves exactly one value; index() rejects a non-integer as native does
     for n_vars, lhs, rhs in axioms:
-        if n_vars < 0:
+        if index(n_vars) < 0:
             raise ValueError("n_vars must be non-negative")
         for code in (lhs, rhs):
             depth = 0
             for pos, tok in enumerate(code):
-                if tok >= 0:
+                if index(tok) >= 0:
                     if tok >= n_vars:
                         raise ValueError(f"malformed axiom code at token {pos}")
                     depth += 1
@@ -90,95 +82,118 @@ def _check_axioms(arities, axioms) -> None:
                 raise ValueError("malformed axiom code: it must leave one value")
 
 
+def _axiom_source(i: int, axiom, n: int, offsets, arities, scan: bool) -> str:
+    # factory a<i> runs on one environment v0.. and returns the instance
+    # closure check(t). Read j's cell is the sum of a fixed part (the
+    # symbol's offset and the terms of variable arguments) and a moving part
+    # (the terms of read arguments). A fixed part that needs arithmetic is
+    # computed once in the factory as c<j>; with no moving part it is the
+    # cell that folding fixes. Numbers enter the source through %d only.
+    n_vars, lhs, rhs = axiom
+    pre: list[str] = []
+    body: list[str] = []
+    sides = []
+    reads = 0
+    for code in (lhs, rhs):
+        stack: list[tuple[bool, str]] = []  # (is a variable, expression)
+        for tok in code:
+            if tok >= 0:
+                stack.append((True, "v%d" % tok))
+                continue
+            s = -tok - 1
+            k = arities[s]
+            fixed = ["%d" % offsets[s]] if offsets[s] else []
+            moving: list[str] = []
+            for a, (is_var, e) in enumerate(stack[len(stack) - k :]):
+                p = n ** (k - 1 - a)
+                (fixed if is_var else moving).append(e if p == 1 else "%s*%d" % (e, p))
+            del stack[len(stack) - k :]
+            j = reads
+            reads += 1
+            if len(fixed) > 1 or "*" in "".join(fixed):
+                pre.append("c%d = %s" % (j, " + ".join(fixed)))
+                fixed = ["c%d" % j]
+            cell = " + ".join(fixed + moving) or "0"
+            if scan:
+                stack.append((False, "t[%s]" % cell))
+                continue
+            # search: read in postfix order; the first unassigned cell is
+            # returned as -(cell+1), which is ~cell
+            if moving:
+                body.append("if (r%d := t[(d%d := %s)]) < 0:" % (j, j, cell))
+                body.append("    return ~d%d" % j)
+            else:
+                body.append("if (r%d := t[%s]) < 0:" % (j, cell))
+                body.append("    return ~%s" % cell)
+            stack.append((False, "r%d" % j))
+        sides.append(stack[0][1])
+    lines = ["def a%d(%s):" % (i, ", ".join("v%d" % v for v in range(n_vars)))]
+    lines += ["    " + line for line in pre]
+    lines.append("    def check(t):")
+    lines += ["        " + line for line in body]
+    lines.append("        return %s == %s" % tuple(sides))
+    lines.append("    return check")
+    return "\n".join(lines) + "\n"
+
+
+def _source(n: int, arities, axioms, scan: bool) -> str:
+    """Python source with one factory per axiom, specialised to n and arities."""
+    offsets, _ = _offsets(n, arities)
+    return "".join(
+        _axiom_source(i, axiom, n, offsets, arities, scan) for i, axiom in enumerate(axioms)
+    )
+
+
+def _instances(n: int, arities, axioms, scan: bool) -> list:
+    """One closure per axiom instance, axiom by axiom, each axiom's
+    environments in product order, from a single compile of `_source`.
+
+    A scan closure returns the total `lhs == rhs`. A search closure reads
+    the same cells in the same order as the folded instance and returns
+    the same value: `lhs == rhs`, or -(cell+1) for the first unassigned
+    (-1) cell it reads.
+    """
+    namespace: dict = {}
+    exec(compile(_source(n, arities, axioms, scan), "<axioms>", "exec"), namespace)
+    out: list = []
+    for i, (n_vars, _, _) in enumerate(axioms):
+        out.extend(starmap(namespace["a%d" % i], product(range(n), repeat=n_vars)))
+    return out
+
+
 def scan_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     """All operation-table assignments satisfying every axiom, by raw scan.
 
-    No pruning: every point of the full table space is visited and checked.
-    `axioms` is a list of (n_vars, lhs_code, rhs_code). Output is in ascending
-    lexicographic order of the concatenated tables.
+    No pruning: every point of the full table space is visited and checked,
+    instance by instance in axiom order until one fails. `axioms` is a list
+    of (n_vars, lhs_code, rhs_code). Output is in ascending lexicographic
+    order of the concatenated tables.
     """
     _check_axioms(arities, axioms)
-    offsets, total = _offsets(n, arities)
-    compiled = [
-        (list(product(range(n), repeat=n_vars)), lhs, rhs) for n_vars, lhs, rhs in axioms
-    ]
+    _, total = _offsets(n, arities)
+    checks = _instances(n, arities, axioms, scan=True)
     out: list[tuple[int, ...]] = []
-    ev = _eval_code
     for cand in product(range(n), repeat=total):
-        ok = True
-        for envs, lhs, rhs in compiled:
-            for env in envs:
-                if ev(lhs, env, cand, offsets, arities, n) != ev(rhs, env, cand, offsets, arities, n):
-                    ok = False
-                    break
-            if not ok:
+        for check in checks:
+            if not check(cand):
                 break
-        if ok:
+        else:
             out.append(cand)
     return out
-
-
-def _fold(code, env, offsets, arities, n: int) -> list[tuple[int, int]]:
-    # (value, -1) pushes a literal; (offset, k) reads the cell its k popped
-    # arguments index, folded to (cell, 0) when those arguments are literals
-    out: list[tuple[int, int]] = []
-    for tok in code:
-        if tok >= 0:
-            out.append((env[tok], -1))
-            continue
-        s = -tok - 1
-        k = arities[s]
-        args = out[len(out) - k :]
-        if all(kind < 0 for _, kind in args):
-            idx = 0
-            for v, _ in args:
-                idx = idx * n + v
-            del out[len(out) - k :]
-            out.append((offsets[s] + idx, 0))
-        else:
-            out.append((offsets[s], k))
-    return out
-
-
-def _eval_instance(code, tables, n: int) -> int:
-    # folded lhs+rhs: lhs == rhs as a bool, or -(cell+1) for the first
-    # unassigned (-1) cell the evaluation reads
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for off, k in code:
-        if k < 0:
-            push(off)
-            continue
-        if k == 2:
-            b = pop()
-            off += pop() * n + b
-        elif k == 1:
-            off += pop()
-        elif k:
-            idx = 0
-            for a in stack[len(stack) - k :]:
-                idx = idx * n + a
-            del stack[len(stack) - k :]
-            off += idx
-        v = tables[off]
-        if v < 0:
-            return -off - 1
-        push(v)
-    return stack[0] == stack[1]
 
 
 def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
     """Same result set as scan_tables, found by axiom-driven backtracking.
 
     Cells are assigned constants first, then the larger tables. Each axiom
-    instance is folded with its environment once and filed on the watch list
-    of the first unassigned cell it reads (an instance that reads none is
-    decided up front). Assigning the cell at depth d re-evaluates only its
-    list: each instance settles, fails the branch, or moves to the list of a
-    later cell until backtracking pops it again. Instances are decided at the
-    same depth as by the native pending-set scan, so both walk the same tree.
-    The output is sorted into scan_tables' canonical order before returning.
+    instance is a closure over its environment, and is filed on the watch
+    list of the first unassigned cell it reads (an instance that reads none
+    is decided up front). Assigning the cell at depth d re-evaluates only
+    its list: each instance settles, fails the branch, or moves to the list
+    of a later cell until backtracking pops it again. Instances are decided
+    at the same depth as by the native pending-set scan, so both walk the
+    same tree. The output is sorted into scan_tables' canonical order
+    before returning.
     """
     _check_axioms(arities, axioms)
     offsets, total = _offsets(n, arities)
@@ -191,15 +206,12 @@ def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
 
     tables = [-1] * total
     watch: list[list] = [[] for _ in range(total)]
-    ev = _eval_instance
-    for n_vars, lhs, rhs in axioms:
-        for env in product(range(n), repeat=n_vars):
-            code = _fold(lhs, env, offsets, arities, n) + _fold(rhs, env, offsets, arities, n)
-            r = ev(code, tables, n)
-            if r < 0:
-                watch[-r - 1].append(code)
-            elif not r:
-                return []
+    for check in _instances(n, arities, axioms, scan=False):
+        r = check(tables)
+        if r < 0:
+            watch[~r].append(check)
+        elif not r:
+            return []
     results: list[tuple[int, ...]] = []
 
     def descend(depth: int) -> None:
@@ -211,11 +223,11 @@ def search_tables(n: int, arities, axioms) -> list[tuple[int, ...]]:
         for value in range(n):
             tables[cell] = value
             moved: list[int] = []
-            for code in watching:
-                r = ev(code, tables, n)
+            for check in watching:
+                r = check(tables)
                 if r < 0:
-                    watch[-r - 1].append(code)
-                    moved.append(-r - 1)
+                    watch[~r].append(check)
+                    moved.append(~r)
                 elif not r:
                     break
             else:

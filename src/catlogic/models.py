@@ -10,7 +10,12 @@ Enumeration has two code paths. `prune=False` is the oracle: a raw scan of
 the full operation-table space (rejected above 10**9 candidates).
 `prune=True` walks the same space as a backtracking search that checks axiom
 instances as soon as their cells fill in; both paths emit the identical
-canonical order (ascending lexicographic in the concatenated tables).
+canonical order (ascending lexicographic in the concatenated tables). Both
+run in the `_core` table kernels on the axioms' postfix bytecode; the pure
+kernels specialise it to Python source once per call, and the interpreters
+they replaced are kept in tests/reference_kernels.py as the reference.
+Multi-sorted theories are scanned here, without a kernel, under the raw-scan
+bound whatever `prune` says.
 """
 
 from __future__ import annotations
@@ -182,13 +187,15 @@ def enumerate_models(theory: Theory, size: int, prune: bool = True) -> list[Fini
 
     cells = _table_cells(theory, size)
     total_cells = sum(cells)
-    bound = SEARCH_CANDIDATE_BOUND if prune else NAIVE_CANDIDATE_BOUND
+    single_sorted = len(theory.sorts) == 1
+    # the multi-sorted fallback is a raw scan, so it gets the raw-scan bound
+    bound = SEARCH_CANDIDATE_BOUND if prune and single_sorted else NAIVE_CANDIDATE_BOUND
     if _power_exceeds(size, total_cells, bound):
         raise CapacityExceededError(
             f"table space of {size}**{total_cells} candidates exceeds the bound {bound}"
         )
 
-    if len(theory.sorts) == 1:
+    if single_sorted:
         axioms = _compile_axioms(theory)
         arities = [f.arity for f in theory.functions]
         kernel = _core.search_tables if prune else _core.scan_tables

@@ -239,6 +239,26 @@ class TestModels:
         ]
 
 
+    @pytest.mark.parametrize("flags", [(), ("--no-prune",)])
+    def test_multi_sorted_scan_gets_the_raw_scan_bound(self, capsys, tmp_path, flags):
+        import time
+
+        # the multi-sorted path is a plain scan even when pruning is asked for
+        ms = tmp_path / "ms.thy"
+        ms.write_text(
+            "theory MS eq { sort A; sort B; op f : A, A -> B; op g : B, B -> A;"
+            " op h : A, B -> A; }\n"
+        )
+        t0 = time.perf_counter()
+        code, report, err = run_json(capsys, "models", str(ms), "MS", "3", *flags)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert report["verdicts"] == {"capacity": "fail"}
+        message = f"table space of 3**27 candidates exceeds the bound {10**9}"
+        assert report["counterexamples"] == [{"id": "capacity", "message": message}]
+        assert f"capacity exceeded: {message}" in err
+
+
 class TestSyn:
     def test_prop_summary(self, capsys):
         code, report, _ = run_json(capsys, "syn", PROPS, "XOR_PAIR")

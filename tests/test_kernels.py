@@ -1,6 +1,8 @@
 """The pure kernels against their own oracles.
 
-The pruned table search must return exactly the raw scan's list, and the
+The pruned table search must return exactly the raw scan's list, and both
+specialised table kernels must equal the interpreted reference in
+tests/reference_kernels.py, down to the value of each search closure. The
 doubling hom image table must equal a per-bit tabulation; check_hom_table
 and verify_hom must reject corrupted tables. The random signatures are
 also run through the native kernels (the `native` fixture builds them when
@@ -8,10 +10,13 @@ a C compiler exists); tests/test_backends.py holds the other backend
 comparisons.
 """
 
+import ast
 import random
+from itertools import product
 
 import pytest
 
+import reference_kernels as ref
 from catlogic import boolalg
 from catlogic._core import pure
 from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra, verify_hom
@@ -78,6 +83,101 @@ def test_random_signatures_native_equals_pure(native):
         searched = pure.search_tables(n, arities, axioms)
         assert native.search_tables(n, arities, axioms) == searched, (n, arities, axioms)
         assert native.scan_tables(n, arities, axioms) == searched, (n, arities, axioms)
+
+
+def test_random_signatures_equal_reference():
+    for n, arities, axioms in random_signature_cases():
+        case = (n, arities, axioms)
+        assert pure.search_tables(*case) == ref.search_tables(*case), case
+        assert pure.scan_tables(*case) == ref.scan_tables(*case), case
+
+
+def test_closures_equal_reference_instances():
+    # seeded random partial tables: a search closure must return what the
+    # folded instance returns, the bool or the same -(cell+1); a scan
+    # closure the total lhs == rhs
+    rng = random.Random(2025)
+    checked = unassigned = 0
+    for n, arities, axioms in random_signature_cases():
+        if n == 0:
+            continue
+        offsets, total = ref.offsets_of(n, arities)
+        folded = ref.folded_instances(n, arities, axioms)
+        searches = pure._instances(n, arities, axioms, scan=False)
+        scans = pure._instances(n, arities, axioms, scan=True)
+        sides = [
+            (lhs, rhs, env) for nv, lhs, rhs in axioms for env in product(range(n), repeat=nv)
+        ]
+        assert len(searches) == len(scans) == len(folded) == len(sides)
+        for _ in range(4):
+            full = [rng.randrange(n) for _ in range(total)]
+            partial = [v if rng.random() < 0.6 else -1 for v in full]
+            for check, code in zip(searches, folded):
+                for tables in (partial, full):
+                    want = ref.eval_instance(code, tables, n)
+                    got = check(tables)
+                    assert (type(got), got) == (type(want), want), (n, arities, axioms)
+                    unassigned += want < 0
+                    checked += 1
+            for check, (lhs, rhs, env) in zip(scans, sides):
+                want = ref.eval_code(lhs, env, full, offsets, arities, n) == ref.eval_code(
+                    rhs, env, full, offsets, arities, n
+                )
+                assert check(tuple(full)) is want, (n, arities, axioms)
+    assert checked > 10_000 and unassigned > 1_000
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_one_function_per_axiom(scan):
+    # commutativity and a right unit of f : 2-ary, c : constant
+    arities, f, c = [2, 0], -1, -2
+    axioms = [(2, (0, 1, f), (1, 0, f)), (1, (0, c, f), (0,))]
+    body = ast.parse(pure._source(3, arities, axioms, scan)).body
+    assert [type(node) for node in body] == [ast.FunctionDef] * len(axioms)
+    # 9 + 3 instances, but each axiom's closures share one code object
+    closures = pure._instances(3, arities, axioms, scan)
+    assert len(closures) == 12
+    assert len({check.__code__ for check in closures}) == len(axioms)
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        (2, (0, -1), (0,)),  # a binary symbol applied to one argument
+        (1, (1,), (0,)),  # variable 1 of a one-variable axiom
+        (1, (0, -2), (0,)),  # symbol 1 of a one-symbol signature
+        (1, (0,), (0, 0)),  # a side that leaves two values
+        (1, (0,), ()),  # a side that leaves none
+        (-1, (0,), (0,)),  # a negative variable count
+    ],
+)
+@pytest.mark.parametrize("kernel", ["scan_tables", "search_tables"])
+def test_malformed_code_rejected_before_codegen(monkeypatch, axiom, kernel):
+    def no_source(*args):
+        raise AssertionError("source generated for malformed code")
+
+    monkeypatch.setattr(pure, "_source", no_source)
+    with pytest.raises(ValueError, match="malformed|n_vars"):
+        getattr(pure, kernel)(2, [2], [(1, (0, 0, -1), (0,)), axiom])
+
+
+@pytest.mark.parametrize("kernel", ["scan_tables", "search_tables"])
+def test_bool_tokens_act_as_ints(kernel):
+    # True is variable 1 and a count of one variable, as in the interpreter
+    as_ints = [(2, (0, 1, -1), (1, 0, -1)), (1, (0, 0, -1), (0,))]
+    as_bools = [(2, (0, True, -1), (True, 0, -1)), (True, (False, False, -1), (False,))]
+    for n in (1, 2, 3):
+        expected = getattr(pure, kernel)(n, [2], as_ints)
+        assert expected and getattr(pure, kernel)(n, [2], as_bools) == expected
+        assert ref.search_tables(n, [2], as_bools) == expected
+
+
+@pytest.mark.parametrize("kernel", ["scan_tables", "search_tables"])
+@pytest.mark.parametrize("axiom", [(1, (0.0, 0, -1), (0,)), (1.0, (0,), (0,))])
+def test_non_integer_tokens_rejected(kernel, axiom):
+    # %d would render 0.0 as 0; the check refuses it as the native kernels do
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        getattr(pure, kernel)(2, [2], [axiom])
 
 
 # f : 2-ary, g : 1-ary, c, d : constants
