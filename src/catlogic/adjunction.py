@@ -42,11 +42,11 @@ from .kernel import (
     Atom,
     Formula,
     Fragment,
-    Implies,
     Not,
     Or,
     RelationSymbol,
     Theory,
+    iff,
 )
 
 LANG_ATOM_BOUND = 4
@@ -55,10 +55,6 @@ BLOCK_ENUM_BOUND = 2**22
 DEFAULT_SEED = 20_260_809
 NATURALITY_EXHAUSTIVE_LIMIT = 10_000
 NATURALITY_SAMPLES = 500
-
-
-def _iff(a: Formula, b: Formula) -> Formula:
-    return And(Implies(a, b), Implies(b, a))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -79,11 +75,11 @@ def lang(B: FiniteBooleanAlgebra) -> Theory:
     p = [Atom(l) for l in letters]
     axioms: list[Formula] = [p[B.top], Not(p[B.bottom])]
     for a in B.elements():
-        axioms.append(_iff(Not(p[a]), p[B.complement(a)]))
+        axioms.append(iff(Not(p[a]), p[B.complement(a)]))
     for a in B.elements():
         for b in B.elements():
-            axioms.append(_iff(And(p[a], p[b]), p[a & b]))
-            axioms.append(_iff(Or(p[a], p[b]), p[a | b]))
+            axioms.append(iff(And(p[a], p[b]), p[a & b]))
+            axioms.append(iff(Or(p[a], p[b]), p[a | b]))
     return Theory(
         name=f"LANG{B.atom_count}",
         fragment=Fragment.PROP,

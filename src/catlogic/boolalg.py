@@ -39,7 +39,7 @@ from .kernel import (
 )
 
 DEFAULT_ATOM_BOUND = 20
-DEFAULT_HOM_BOUND = 1_000_000
+HOM_BOUND = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class BoolHom:
         return self._inverse
 
 
-def verify_hom(h: BoolHom, exhaustive: bool = False) -> bool:
+def verify_hom(h: BoolHom) -> bool:
     """Check that a hom preserves top, bottom, meet, join and complement.
 
     The default pass checks the backend's image table: complements
@@ -230,8 +230,6 @@ def verify_hom(h: BoolHom, exhaustive: bool = False) -> bool:
     at each of the m source atoms with the atom images h reads off its own
     atom map in one pass (BoolHom.atom_images); agreeing there, the two agree
     on every element, which makes the check exact at O(m + k) extra cost.
-    With exhaustive=True every element pair is checked directly as well
-    (quadratic, meant for small algebras).
     """
     img = h.image_table()
     if not _core.check_hom_table(img, h.source.atom_count, h.target.atom_count):
@@ -239,24 +237,10 @@ def verify_hom(h: BoolHom, exhaustive: bool = False) -> bool:
     for i, image in enumerate(h.atom_images()):
         if img[1 << i] != image:
             return False
-    if exhaustive:
-        top_s, top_t = h.source.top, h.target.top
-        if img[0] != 0 or img[top_s] != top_t:
-            return False
-        for a in h.source.elements():
-            if img[top_s ^ a] != top_t ^ img[a]:
-                return False
-            for b in h.source.elements():
-                if img[a | b] != img[a] | img[b] or img[a & b] != img[a] & img[b]:
-                    return False
     return True
 
 
-def enumerate_homs(
-    B: FiniteBooleanAlgebra,
-    C: FiniteBooleanAlgebra,
-    bound: int = DEFAULT_HOM_BOUND,
-) -> list[BoolHom]:
+def enumerate_homs(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> list[BoolHom]:
     """All homomorphisms B -> C, in lexicographic atom-map order.
 
     There are |atoms(B)| ** |atoms(C)| of them; in particular none when B is
@@ -265,8 +249,8 @@ def enumerate_homs(
     """
     m, k = B.atom_count, C.atom_count
     count = m**k
-    if count > bound:
-        raise CapacityExceededError(f"{count} homs exceed the bound {bound}")
+    if count > HOM_BOUND:
+        raise CapacityExceededError(f"{count} homs exceed the bound {HOM_BOUND}")
     out = []
     for atom_map in product(range(m), repeat=k):
         h = BoolHom._trusted(B, C, atom_map)
@@ -320,11 +304,9 @@ def _iter_models(theory: Theory, atom_bound: int) -> Iterator[TruthAssignment]:
             yield assignment
 
 
-def satisfying_assignments(
-    theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND
-) -> list[TruthAssignment]:
+def satisfying_assignments(theory: Theory) -> list[TruthAssignment]:
     """The assignments making every axiom true, in lexicographic order."""
-    return list(_iter_models(theory, atom_bound))
+    return list(_iter_models(theory, DEFAULT_ATOM_BOUND))
 
 
 @dataclass(frozen=True)
@@ -388,20 +370,18 @@ def _axiomless_theory(letters: tuple[str, ...]) -> Theory:
     )
 
 
-def free_boolean_algebra(
-    letters: Iterable[str], atom_bound: int = DEFAULT_ATOM_BOUND
-) -> LindenbaumAlgebra:
+def free_boolean_algebra(letters: Iterable[str]) -> LindenbaumAlgebra:
     """F(V): the Lindenbaum algebra of the axiomless theory on V.
 
     Carrier size is 2**(2**|V|); raises CapacityExceededError once the atom
     count 2**|V| passes the bound.
     """
     letters = tuple(sorted(letters))
-    if 2 ** len(letters) > atom_bound:
+    if 2 ** len(letters) > DEFAULT_ATOM_BOUND:
         raise CapacityExceededError(
-            f"free algebra on {len(letters)} letters needs {2 ** len(letters)} atoms (bound {atom_bound})"
+            f"free algebra on {len(letters)} letters needs {2 ** len(letters)} atoms (bound {DEFAULT_ATOM_BOUND})"
         )
-    return lindenbaum_algebra(_axiomless_theory(letters), atom_bound)
+    return lindenbaum_algebra(_axiomless_theory(letters))
 
 
 def entails(theory: Theory, formula: Formula) -> bool:

@@ -52,6 +52,9 @@ from .kernel import (
     Theory,
     Top,
     Variable,
+    diagnose,
+    iff,
+    sort_conflicts,
 )
 
 KEYWORDS = frozenset(
@@ -235,7 +238,7 @@ def _parse_formula(lx: _Lexer, th: "_TheoryBuilder", depth: int = 0) -> Formula:
             return Or(lhs, rhs)
         if op == "implies":
             return Implies(lhs, rhs)
-        return And(Implies(lhs, rhs), Implies(rhs, lhs))
+        return iff(lhs, rhs)
     pterm = _parse_pterm(lx, depth)
     if lx.peek().text == "=":
         lx.next()
@@ -253,9 +256,6 @@ class _TheoryBuilder:
         self.sorts: dict[str, Sort] = {}
         self.functions: dict[str, FunctionSymbol] = {}
         self.relations: dict[str, RelationSymbol] = {}
-        self.decl_sorts: list[Sort] = []
-        self.decl_functions: list[FunctionSymbol] = []
-        self.decl_relations: list[RelationSymbol] = []
         self.axioms: list[Formula] = []
         self.axiom_spans: list[SourceSpan] = []
         self.rewrites: list[RewriteRule] = []
@@ -291,8 +291,8 @@ class _TheoryBuilder:
         l_sort = self._shallow_sort(l)
         r_sort = self._shallow_sort(r)
         if l_sort is None and r_sort is None:
-            if len(self.decl_sorts) == 1:
-                only = self.decl_sorts[0]
+            if len(self.sorts) == 1:
+                (only,) = self.sorts.values()
                 l = self._force_var_sort(l, only)
                 r = self._force_var_sort(r, only)
             else:
@@ -353,19 +353,25 @@ class _TheoryBuilder:
         return term
 
     def add_axiom(self, formula: Formula, span: SourceSpan) -> None:
-        self._check_variable_sorts(formula, span)
+        # one axiom is universally closed, so a variable has one sort across
+        # it. No variable is open here: an argument takes its sort from the
+        # symbol's domain, and resolve_equation fixes (or rejects) a bare
+        # variable side, so the formula is kept as it was resolved.
+        conflicts = sort_conflicts(formula)
+        if conflicts:
+            raise _ResolveError(
+                "sort-mismatch", f"variable {conflicts[0]} used at two different sorts", span
+            )
         self.axioms.append(formula)
         self.axiom_spans.append(span)
 
     def finish(self) -> Theory:
-        from .kernel import diagnose
-
         theory = Theory(
             name=self.name,
             fragment=self.fragment,
-            sorts=tuple(self.decl_sorts),
-            functions=tuple(self.decl_functions),
-            relations=tuple(self.decl_relations),
+            sorts=tuple(self.sorts.values()),
+            functions=tuple(self.functions.values()),
+            relations=tuple(self.relations.values()),
             axioms=tuple(self.axioms),
             rewrites=tuple(self.rewrites),
             axiom_spans=tuple(self.axiom_spans),
@@ -374,39 +380,6 @@ class _TheoryBuilder:
         if diagnostics:
             raise InvalidTheoryError(diagnostics)
         return theory
-
-    def _check_variable_sorts(self, formula: Formula, span: SourceSpan) -> None:
-        # one axiom is universally closed, so a variable has one sort across
-        # it. No variable is open here: an argument takes its sort from the
-        # symbol's domain, and resolve_equation fixes (or rejects) a bare
-        # variable side, so the formula is kept as it was resolved.
-        sorts: dict[str, Sort] = {}
-        conflicts: set[str] = set()
-
-        def collect(e):
-            if isinstance(e, Variable):
-                if e.name in sorts and sorts[e.name] != e.sort:
-                    conflicts.add(e.name)
-                sorts[e.name] = e.sort
-            elif isinstance(e, App):
-                for a in e.args:
-                    collect(a)
-            elif isinstance(e, Atom):
-                for a in e.args:
-                    collect(a)
-            elif isinstance(e, Equation):
-                collect(e.lhs)
-                collect(e.rhs)
-            elif isinstance(e, Not):
-                collect(e.operand)
-            elif isinstance(e, (And, Or, Implies)):
-                collect(e.lhs)
-                collect(e.rhs)
-
-        collect(formula)
-        if conflicts:
-            name = sorted(conflicts)[0]
-            raise _ResolveError("sort-mismatch", f"variable {name} used at two different sorts", span)
 
 
 _OPEN_SORT = Sort("\x00open")  # parse-time placeholder, never escapes this module
@@ -433,9 +406,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                     Diagnostic("duplicate-name", f"sort {ident.text} declared twice", span=ident.span)
                 )
             else:
-                s = Sort(ident.text)
-                th.sorts[ident.text] = s
-                th.decl_sorts.append(s)
+                th.sorts[ident.text] = Sort(ident.text)
             lx.expect(";")
         elif tok.text == "op":
             try:
@@ -456,11 +427,9 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                         Diagnostic("duplicate-name", f"op {ident.text} declared twice", span=ident.span)
                     )
                 else:
-                    fn = FunctionSymbol(
+                    th.functions[ident.text] = FunctionSymbol(
                         ident.text, tuple(domain), th.sort(cod_tok)
                     )
-                    th.functions[ident.text] = fn
-                    th.decl_functions.append(fn)
                 lx.expect(";")
             except _ResolveError as err:
                 th.diagnostics.append(err.diagnostic)
@@ -475,9 +444,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                         )
                     )
                 else:
-                    rel = RelationSymbol(ident.text)
-                    th.relations[ident.text] = rel
-                    th.decl_relations.append(rel)
+                    th.relations[ident.text] = RelationSymbol(ident.text)
                 if lx.peek().text != ",":
                     break
                 lx.next()

@@ -9,8 +9,11 @@ Conventions:
     serves both fragments;
   * equational axioms are implicitly universally closed (there is no
     quantifier node);
-  * the connective set is exactly top/bottom/not/and/or/implies, with the
-    biconditional handled as surface syntax by the DSL.
+  * the connective set is exactly top/bottom/not/and/or/implies; `iff`
+    builds the biconditional from them, for the DSL and for Lang alike.
+
+`free_vars` and `sort_conflicts` are the variable walks that the parser,
+`diagnose` and `syncat` share.
 """
 
 from __future__ import annotations
@@ -162,21 +165,41 @@ class Theory:
 
 def free_vars(e: Term | Formula) -> frozenset[Variable]:
     """Exact set of variables occurring in a term or formula."""
+    out: set[Variable] = set()
+    _collect_vars(e, out)
+    return frozenset(out)
+
+
+def _collect_vars(e: Term | Formula, out: set[Variable]) -> None:
     if isinstance(e, Variable):
-        return frozenset((e,))
-    if isinstance(e, App):
-        return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
-    if isinstance(e, (Top, Bottom)):
-        return frozenset()
-    if isinstance(e, Atom):
-        return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
-    if isinstance(e, Equation):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Not):
-        return free_vars(e.operand)
-    if isinstance(e, (And, Or, Implies)):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    raise TypeError(f"not a term or formula: {e!r}")
+        out.add(e)
+    elif isinstance(e, (App, Atom)):
+        for a in e.args:
+            _collect_vars(a, out)
+    elif isinstance(e, (Equation, And, Or, Implies)):
+        _collect_vars(e.lhs, out)
+        _collect_vars(e.rhs, out)
+    elif isinstance(e, Not):
+        _collect_vars(e.operand, out)
+    elif not isinstance(e, (Top, Bottom)):
+        raise TypeError(f"not a term or formula: {e!r}")
+
+
+def sort_conflicts(*parts: Term | Formula) -> list[str]:
+    """Sorted names of the variables that occur at two sorts across parts."""
+    found: set[Variable] = set()
+    for part in parts:
+        _collect_vars(part, found)
+    names: set[str] = set()
+    twice: set[str] = set()
+    for v in found:
+        (twice if v.name in names else names).add(v.name)
+    return sorted(twice)
+
+
+def iff(a: Formula, b: Formula) -> Formula:
+    """The biconditional a <-> b as (a -> b) and (b -> a)."""
+    return And(Implies(a, b), Implies(b, a))
 
 
 def sort_of_term(term: Term, context: Iterable[Variable]) -> Sort:
@@ -334,17 +357,16 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
                 )
             )
             return out
-        ctx = {v.name: v for v in free_vars(formula)}
+        if formula.args:
+            out.extend(_conflict_diagnostics(formula, path=path, span=span))
         for j, (arg, want) in enumerate(zip(formula.args, formula.symbol.argument_sorts)):
-            out.extend(_diagnose_term(theory, arg, want, ctx, f"{path}/arg[{j}]", span))
+            out.extend(_diagnose_term(theory, arg, want, f"{path}/arg[{j}]", span))
         return out
     if isinstance(formula, Equation):
-        ctx = {v.name: v for v in free_vars(formula)}
-        l = _diagnose_term(theory, formula.lhs, None, ctx, f"{path}/lhs", span)
-        r = _diagnose_term(theory, formula.rhs, None, ctx, f"{path}/rhs", span)
-        out.extend(l)
-        out.extend(r)
-        if not l and not r:
+        out.extend(_conflict_diagnostics(formula, path=path, span=span))
+        out.extend(_diagnose_term(theory, formula.lhs, None, f"{path}/lhs", span))
+        out.extend(_diagnose_term(theory, formula.rhs, None, f"{path}/rhs", span))
+        if not out:
             ls, rs = _term_sort_shallow(formula.lhs), _term_sort_shallow(formula.rhs)
             if ls != rs:
                 out.append(
@@ -361,16 +383,19 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
     return [Diagnostic("unknown-symbol", f"unrecognized formula node {formula!r}", path, span)]
 
 
-def _diagnose_term(theory, term, expected: Sort | None, ctx, path, span) -> list[Diagnostic]:
+def _conflict_diagnostics(*parts, path, span) -> list[Diagnostic]:
+    # a variable has one sort across an atom, an equation or a rewrite rule
+    return [
+        Diagnostic("sort-mismatch", f"variable {name} used at two different sorts", path, span)
+        for name in sort_conflicts(*parts)
+    ]
+
+
+def _diagnose_term(theory, term, expected: Sort | None, path, span) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     if isinstance(term, Variable):
         if term.sort not in theory.sorts:
             out.append(Diagnostic("unknown-symbol", f"variable {term.name} has undeclared sort", path, span))
-        bound = ctx.get(term.name)
-        if bound is not None and bound.sort != term.sort:
-            out.append(
-                Diagnostic("sort-mismatch", f"variable {term.name} used at two different sorts", path, span)
-            )
         if expected is not None and term.sort != expected:
             out.append(
                 Diagnostic(
@@ -404,15 +429,15 @@ def _diagnose_term(theory, term, expected: Sort | None, ctx, path, span) -> list
                 )
             )
         for j, (arg, want) in enumerate(zip(term.args, sym.domain)):
-            out.extend(_diagnose_term(theory, arg, want, ctx, f"{path}/arg[{j}]", span))
+            out.extend(_diagnose_term(theory, arg, want, f"{path}/arg[{j}]", span))
         return out
     return [Diagnostic("unknown-symbol", f"unrecognized term node {term!r}", path, span)]
 
 
 def _diagnose_rewrite(theory, rule, path) -> list[Diagnostic]:
-    ctx = {v.name: v for v in free_vars(rule.lhs) | free_vars(rule.rhs)}
-    out = _diagnose_term(theory, rule.lhs, None, ctx, f"{path}/lhs", None)
-    out += _diagnose_term(theory, rule.rhs, None, ctx, f"{path}/rhs", None)
+    out = _conflict_diagnostics(rule.lhs, rule.rhs, path=path, span=None)
+    out += _diagnose_term(theory, rule.lhs, None, f"{path}/lhs", None)
+    out += _diagnose_term(theory, rule.rhs, None, f"{path}/rhs", None)
     if not out:
         extra = free_vars(rule.rhs) - free_vars(rule.lhs)
         if extra:

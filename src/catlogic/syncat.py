@@ -36,6 +36,7 @@ from .kernel import (
     Theory,
     Variable,
     check_well_formed,
+    free_vars,
     substitute,
 )
 
@@ -159,15 +160,6 @@ def reduced_words(n_generators: int, max_letters: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _vars_of(term: Term) -> set[Variable]:
-    if isinstance(term, Variable):
-        return {term}
-    out: set[Variable] = set()
-    for a in term.args:
-        out |= _vars_of(a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rewrite-system normalization
 
@@ -219,7 +211,7 @@ def _normalizer(theory: Theory, sig: GroupSignature | None) -> Callable[[Term], 
     if sig is not None:
 
         def by_words(term: Term) -> Term:
-            names = sorted({v.name for v in _vars_of(term)})
+            names = sorted({v.name for v in free_vars(term)})
             generators = [Variable(n, sig.sort) for n in names]
             word = word_of_term(term, sig, {n: i for i, n in enumerate(names)})
             return term_of_word(word, sig, generators)

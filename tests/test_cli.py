@@ -452,19 +452,28 @@ class TestContract:
 
 
 class TestSubprocess:
-    def test_reports_identical_across_processes_and_hash_seeds(self):
+    def test_reports_identical_across_processes_and_hash_seeds(self, tmp_path):
         import os
         import subprocess
         import sys
 
-        cmd = [sys.executable, "-m", "catlogic.cli", "brain", "check", BRAIN_TWO]
-        runs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            runs.append(subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env))
-        assert all(r.returncode == 0 for r in runs)
-        assert runs[0].stdout == runs[1].stdout
-        assert json.loads(runs[0].stdout)["pass"] is True
+        # a variable at two sorts in a rewrite rule: the sort-conflict finding
+        # once depended on set order, so hash seeds 1 and 3 located it apart
+        conflict = tmp_path / "conflict.thy"
+        conflict.write_text("theory R eq { sort A; sort B; op g : A, B -> A; rewrite g(x, x) -> x; }\n")
+        rows = [(("brain", "check", BRAIN_TWO), 0), (("check", str(conflict)), 1)]
+        for argv, code in rows:
+            cmd = [sys.executable, "-m", "catlogic.cli", *argv]
+            runs = []
+            for hash_seed in ("1", "3"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                runs.append(subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env))
+            assert [r.returncode for r in runs] == [code, code]
+            assert runs[0].stdout == runs[1].stdout
+            report = json.loads(runs[0].stdout)
+            assert report["pass"] is (code == 0)
+        # the last row: one finding, at the rule
+        assert [cx["where"] for cx in report["counterexamples"]] == ["rewrite[0]"]
 
 
 class TestDeterminism:

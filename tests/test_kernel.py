@@ -14,13 +14,18 @@ from catlogic.kernel import (
     Equation,
     Fragment,
     FunctionSymbol,
+    Implies,
+    Not,
     RelationSymbol,
+    RewriteRule,
     Sort,
     Theory,
+    Top,
     Variable,
     check_well_formed,
     diagnose,
     free_vars,
+    sort_conflicts,
     sort_of_term,
     substitute,
 )
@@ -152,6 +157,22 @@ class TestFreeVars:
     def test_three(self):
         assert free_vars(mul(x, mul(y, z))) == {x, y, z}
 
+    def test_formulas(self):
+        p, r = RelationSymbol("p"), RelationSymbol("r", (X, X))
+        assert free_vars(Top()) == frozenset()
+        assert free_vars(Atom(p)) == frozenset()
+        assert free_vars(Not(Atom(r, (x, inv(y))))) == {x, y}
+        assert free_vars(Implies(Atom(p), Equation(mul(z, u), x))) == {x, z}
+
+    def test_rejects_a_non_node(self):
+        with pytest.raises(TypeError, match="not a term or formula"):
+            free_vars(Not(3))
+
+    def test_sort_conflicts_sorted_across_parts(self):
+        B = Sort("B")
+        assert sort_conflicts(mul(x, y)) == []
+        assert sort_conflicts(Variable("y", B), mul(x, Variable("x", B)), y, x) == ["x", "y"]
+
 
 class TestCheckWellFormed:
     def test_group_valid(self, group_theory):
@@ -209,6 +230,28 @@ class TestCheckWellFormed:
             relations=(RelationSymbol("p"), RelationSymbol("p")),
         )
         assert any(d.code == "duplicate-name" for d in diagnose(bad))
+
+    def test_one_sort_conflict_per_name_in_name_order(self):
+        A, B = Sort("A"), Sort("B")
+        f = FunctionSymbol("f", (A, B, A, B), A)
+        xa, xb, ya, yb = Variable("x", A), Variable("x", B), Variable("y", A), Variable("y", B)
+        bad = Theory(
+            name="BAD",
+            fragment=Fragment.EQ,
+            sorts=(A, B),
+            functions=(f,),
+            axioms=(Equation(App(f, (ya, yb, xa, xb)), xa), Equation(App(f, (xa, xb, xa, xb)), xb)),
+            rewrites=(RewriteRule(App(f, (ya, xb, xa, yb)), ya),),
+        )
+        found = [(d.code, d.message, d.path) for d in diagnose(bad)]
+        assert found == [
+            ("sort-mismatch", "variable x used at two different sorts", "axiom[0]"),
+            ("sort-mismatch", "variable y used at two different sorts", "axiom[0]"),
+            # the sides check is skipped once the equation has a finding
+            ("sort-mismatch", "variable x used at two different sorts", "axiom[1]"),
+            ("sort-mismatch", "variable x used at two different sorts", "rewrite[0]"),
+            ("sort-mismatch", "variable y used at two different sorts", "rewrite[0]"),
+        ]
 
     def test_accepts_exactly_sortable_terms(self, group_theory):
         # every axiom side sort-checks over its free variables
