@@ -102,7 +102,7 @@ def workloads():
         assert report.left_count == 6561 and report.passed
         return report
 
-    # best of 3, so the first run fills the lang/syn/canonical_iso caches
+    # best of 3, so the first run fills the lang cache and the theory memos
     yield "check_adjunction B=3 x Syn T=8", run_adjunction, 3
 
 

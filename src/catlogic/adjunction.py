@@ -18,9 +18,9 @@ naturality triples by index (its docstring gives the order). Each naturality
 square's t . f and syn(t) . transpose(f) depend on (t, f) alone, so the check
 builds them once per (t, f) and reuses them for every (B', b); the squares,
 their order and the transpose_fn calls are those of a check without reuse.
-lang, syn and canonical_iso each keep at most CACHE_SIZE entries; a cached
-iso keeps its inverse (BoolHom.inverse), so untranspose inverts it once per
-algebra.
+lang keeps at most CACHE_SIZE diagram theories, keyed by algebra. syn keeps
+a theory's Lindenbaum algebra in its memo (kernel.Theory), and lang(B)'s memo
+keeps canonical_iso(B) and its inverse, so each is built once per theory.
 """
 
 from __future__ import annotations
@@ -50,11 +50,12 @@ from .kernel import (
 )
 
 LANG_ATOM_BOUND = 4
-CACHE_SIZE = 128  # holds every algebra and theory of one brain audit
+CACHE_SIZE = 128  # lang's diagram theories: every algebra of one brain audit
 BLOCK_ENUM_BOUND = 2**22
 DEFAULT_SEED = 20_260_809
 NATURALITY_EXHAUSTIVE_LIMIT = 10_000
 NATURALITY_SAMPLES = 500
+AUX_THEORY = Theory(name="AUX", fragment=Fragment.PROP)  # the aux target T' of naturality
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -88,20 +89,25 @@ def lang(B: FiniteBooleanAlgebra) -> Theory:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def syn(theory: Theory) -> FiniteBooleanAlgebra:
-    """Syn of a propositional theory: its Lindenbaum algebra."""
-    return lindenbaum_algebra(theory).algebra
+    """Syn of a propositional theory: its Lindenbaum algebra, kept in the
+    theory's memo."""
+    memo = theory._memo
+    if "syn" not in memo:
+        memo["syn"] = lindenbaum_algebra(theory).algebra
+    return memo["syn"]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
-    """The verified isomorphism B -> Syn(Lang(B)).
+    """The verified isomorphism B -> Syn(Lang(B)), kept in lang(B)'s memo.
 
     Each satisfying assignment of the diagram theory is a Boolean
     homomorphism B -> 2, i.e. a principal ultrafilter; its generating atom is
     the meet of the elements it sends to true.
     """
+    memo = lang(B)._memo
+    if "iso" in memo:
+        return memo["iso"]
     L = syn(lang(B))
     atom_map = []
     for assignment in L.atom_labels:
@@ -115,6 +121,7 @@ def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     iso = BoolHom(B, L, tuple(atom_map))
     assert iso.is_isomorphism, "Syn(Lang(B)) has the wrong atom count"
     assert verify_hom(iso), "canonical comparison map is not a homomorphism"
+    memo["iso"] = iso
     return iso
 
 
@@ -143,11 +150,9 @@ def theory_morphisms(t1: Theory, t2: Theory) -> list[TheoryMorphism]:
 
 
 def lang_hom(h: BoolHom) -> TheoryMorphism:
-    """Lang on homs (covariant): conjugate by the canonical isomorphisms."""
-    iso_src = canonical_iso(h.source)
-    iso_tgt = canonical_iso(h.target)
-    conj = iso_tgt.compose(h).compose(iso_src.inverse())
-    return TheoryMorphism(lang(h.source), lang(h.target), conj)
+    """Lang on homs (covariant): conjugate by the canonical isomorphisms,
+    i.e. untranspose canonical_iso(h.target) . h."""
+    return untranspose(h.source, lang(h.target), canonical_iso(h.target).compose(h))
 
 
 def transpose(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
@@ -157,7 +162,10 @@ def transpose(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
 
 def untranspose(B: FiniteBooleanAlgebra, T: Theory, g: BoolHom) -> TheoryMorphism:
     """Inverse transposition: a hom B -> Syn(T) as a morphism Lang(B) -> T."""
-    return TheoryMorphism(lang(B), T, g.compose(canonical_iso(B).inverse()))
+    memo = lang(B)._memo
+    if "iso_inverse" not in memo:
+        memo["iso_inverse"] = canonical_iso(B).inverse()
+    return TheoryMorphism(lang(B), T, g.compose(memo["iso_inverse"]))
 
 
 def enumerate_homs_by_blocks(
@@ -241,10 +249,6 @@ class AdjunctionReport:
         )
 
 
-def _aux_empty_theory() -> Theory:
-    return Theory(name="AUX", fragment=Fragment.PROP)
-
-
 def check_adjunction(
     B: FiniteBooleanAlgebra,
     T: Theory,
@@ -323,13 +327,10 @@ def check_adjunction(
     # Naturality: vary B through b: B' -> B and T through t: T -> T'.
     # Keeping T as its own aux target is affordable only while its endo-hom
     # set is small.
-    aux = _aux_empty_theory()
-    aux_theories = [(aux, syn(aux))]
-    if synT.atom_count <= 2:
-        aux_theories.insert(0, (T, synT))
+    aux_theories = [T, AUX_THEORY] if synT.atom_count <= 2 else [AUX_THEORY]
     aux_algebras = (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
     bs = [(Bp, b, lang_hom(b)) for Bp in aux_algebras for b in enumerate_homs(Bp, B)]
-    ts = [TheoryMorphism(T, Tp, h) for Tp, synTp in aux_theories for h in enumerate_homs(synT, synTp)]
+    ts = [TheoryMorphism(T, Tp, h) for Tp in aux_theories for h in enumerate_homs(synT, syn(Tp))]
     total = len(bs) * len(ts) * len(left)
     indices = range(total)
     if total > NATURALITY_EXHAUSTIVE_LIMIT:

@@ -33,6 +33,7 @@ from .kernel import (
     Implies,
     Not,
     Or,
+    RelationSymbol,
     Theory,
     Top,
     check_well_formed,
@@ -147,8 +148,6 @@ class BoolHom:
     target: FiniteBooleanAlgebra
     atom_map: tuple[int, ...]
 
-    _inverse = None  # not a field: inverse() keeps its result here
-
     def __post_init__(self) -> None:
         if len(self.atom_map) != self.target.atom_count:
             raise ValueError("atom_map must cover every target atom")
@@ -207,16 +206,14 @@ class BoolHom:
         )
 
     def inverse(self) -> "BoolHom":
-        """The inverse isomorphism, built on the first call and kept on self
-        (so a cached iso, such as adjunction.canonical_iso's, inverts once)."""
-        if self._inverse is None:
-            if not self.is_isomorphism:
-                raise ValueError("hom is not an isomorphism")
-            inv = [0] * len(self.atom_map)
-            for j, i in enumerate(self.atom_map):
-                inv[i] = j
-            self.__dict__["_inverse"] = BoolHom._trusted(self.target, self.source, tuple(inv))
-        return self._inverse
+        """The inverse isomorphism, built afresh on every call (the canonical
+        isos of adjunction keep theirs in the diagram theory's memo)."""
+        if not self.is_isomorphism:
+            raise ValueError("hom is not an isomorphism")
+        inv = [0] * len(self.atom_map)
+        for j, i in enumerate(self.atom_map):
+            inv[i] = j
+        return BoolHom._trusted(self.target, self.source, tuple(inv))
 
 
 def verify_hom(h: BoolHom) -> bool:
@@ -360,16 +357,6 @@ def lindenbaum_algebra(theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND) -> 
     return LindenbaumAlgebra(theory, algebra)
 
 
-def _axiomless_theory(letters: tuple[str, ...]) -> Theory:
-    from .kernel import RelationSymbol
-
-    return Theory(
-        name="FREE",
-        fragment=Fragment.PROP,
-        relations=tuple(RelationSymbol(l) for l in letters),
-    )
-
-
 def free_boolean_algebra(letters: Iterable[str]) -> LindenbaumAlgebra:
     """F(V): the Lindenbaum algebra of the axiomless theory on V.
 
@@ -381,7 +368,8 @@ def free_boolean_algebra(letters: Iterable[str]) -> LindenbaumAlgebra:
         raise CapacityExceededError(
             f"free algebra on {len(letters)} letters needs {2 ** len(letters)} atoms (bound {DEFAULT_ATOM_BOUND})"
         )
-    return lindenbaum_algebra(_axiomless_theory(letters))
+    relations = tuple(RelationSymbol(l) for l in letters)
+    return lindenbaum_algebra(Theory(name="FREE", fragment=Fragment.PROP, relations=relations))
 
 
 def entails(theory: Theory, formula: Formula) -> bool:

@@ -52,6 +52,7 @@ from .kernel import (
     Theory,
     Top,
     Variable,
+    check_well_formed,
     diagnose,
     iff,
     sort_conflicts,
@@ -376,10 +377,9 @@ class _TheoryBuilder:
             rewrites=tuple(self.rewrites),
             axiom_spans=tuple(self.axiom_spans),
         )
-        diagnostics = self.diagnostics + diagnose(theory)
-        if diagnostics:
-            raise InvalidTheoryError(diagnostics)
-        return theory
+        if self.diagnostics:
+            raise InvalidTheoryError(self.diagnostics + diagnose(theory))
+        return check_well_formed(theory)
 
 
 _OPEN_SORT = Sort("\x00open")  # parse-time placeholder, never escapes this module

@@ -148,8 +148,9 @@ class Theory:
     # parallel to axioms when the theory came from the DSL; excluded from
     # structural equality so round-tripping compares clean
     axiom_spans: tuple = field(default=(), compare=False, repr=False)
-
-    _normal = None  # not a field: syncat keeps the derived (group signature, normaliser) here
+    # facts derived from this value, each computed once on first use; outside
+    # init, ==, hash and repr, so dataclasses.replace starts an empty memo
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -206,9 +207,13 @@ def sort_of_term(term: Term, context: Iterable[Variable]) -> Sort:
     """Sort of a well-formed term over the given context.
 
     Raises UnboundVariableError for variables outside the context and
+    SortMismatchError, naming both sorts in order, for a name bound at two;
     ArityMismatchError/SortMismatchError when an application is ill-formed.
     """
-    ctx = {v.name: v for v in context}
+    ctx: dict[str, Variable] = {}
+    for v in sorted(context, key=lambda v: (v.name, v.sort.name)):
+        if ctx.setdefault(v.name, v).sort != v.sort:
+            raise SortMismatchError(f"variable {v.name} bound at sorts {ctx[v.name].sort.name} and {v.sort.name}")
     return _sort_of(term, ctx)
 
 
@@ -452,9 +457,12 @@ def _diagnose_rewrite(theory, rule, path) -> list[Diagnostic]:
 def check_well_formed(theory: Theory) -> Theory:
     """Validate a theory; returns it unchanged or raises InvalidTheoryError.
 
-    Idempotent: validating a validated theory succeeds with the same value.
+    Idempotent: a pass is kept in the theory's memo, so a valid theory is
+    diagnosed once; an invalid one is diagnosed, and raises, on every call.
     """
-    diagnostics = diagnose(theory)
-    if diagnostics:
-        raise InvalidTheoryError(diagnostics)
+    if "well_formed" not in theory._memo:
+        diagnostics = diagnose(theory)
+        if diagnostics:
+            raise InvalidTheoryError(diagnostics)
+        theory._memo["well_formed"] = True
     return theory

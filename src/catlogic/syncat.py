@@ -226,11 +226,12 @@ def _normalizer(theory: Theory, sig: GroupSignature | None) -> Callable[[Term], 
 
 def _prepared(theory: Theory) -> tuple[GroupSignature | None, Callable[[Term], Term]]:
     """The theory's group signature (or None) and normal-form function,
-    derived on first use and kept on the theory instance."""
-    if theory._normal is None:
+    derived on first use and kept in the theory's memo."""
+    memo = theory._memo
+    if "normal" not in memo:
         sig = detect_group_presentation(theory)
-        theory.__dict__["_normal"] = (sig, _normalizer(theory, sig))
-    return theory._normal
+        memo["normal"] = (sig, _normalizer(theory, sig))
+    return memo["normal"]
 
 
 def normalize(theory: Theory, term: Term) -> Term:

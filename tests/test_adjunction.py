@@ -298,6 +298,39 @@ class TestCheckAdjunction:
         assert len(calls) == rep.left_count + rep.right_count + rep.naturality_checked
 
 
+def _fresh(text):
+    # a newly parsed theory: nothing is in its memo yet
+    return parse_file(text)[0]
+
+
+class TestMemo:
+    def test_syn_of_a_theory_is_derived_once(self, monkeypatch):
+        import catlogic.adjunction as adjunction
+
+        T = _fresh("theory MEMO_SYN prop { letters p, q; axiom or(p, q); }")
+        seen = []
+        real = adjunction.lindenbaum_algebra
+        monkeypatch.setattr(adjunction, "lindenbaum_algebra", lambda t: seen.append(t) or real(t))
+        first = check_adjunction(FiniteBooleanAlgebra(2), T)
+        second = check_adjunction(FiniteBooleanAlgebra(2), T)
+        assert first.passed and second.passed
+        assert sum(t is T for t in seen) == 1
+
+    def test_canonical_iso_and_its_inverse_are_built_once(self, monkeypatch):
+        # an algebra labelled by letters no other test uses, so lang(B) is new
+        T = _fresh("theory MEMO_ISO prop { letters memo_a, memo_b; axiom or(memo_a, memo_b); }")
+        B = syn(T)
+        inverses = []
+        real = BoolHom.inverse
+        monkeypatch.setattr(BoolHom, "inverse", lambda h: inverses.append(h) or real(h))
+        iso = canonical_iso(B)
+        assert all(canonical_iso(B) is iso for _ in range(3))
+        homs = enumerate_homs(B, syn(T))
+        for g in homs:
+            assert transpose(B, untranspose(B, T, g)) == g
+        assert len(homs) == 27 and inverses == [iso]
+
+
 class TestLangFunctorial:
     def test_identity_and_composition(self):
         rng = random.Random(12)

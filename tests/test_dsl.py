@@ -177,6 +177,26 @@ class TestParseErrors:
                         assert 0 <= d.span.start <= d.span.end <= len(text)
 
 
+class TestDiagnosedOnce:
+    def test_a_parsed_theory_is_not_diagnosed_again_downstream(self, monkeypatch):
+        import catlogic.kernel as kernel
+        from catlogic.boolalg import lindenbaum_algebra
+        from catlogic.models import enumerate_models
+        from catlogic.syncat import syn_eq
+
+        calls = []
+        real = kernel.diagnose
+        monkeypatch.setattr(kernel, "diagnose", lambda t: calls.append(t.name) or real(t))
+        by_name = {t.name: t for t in parse_file(fixture_text("group.thy") + fixture_text("props.thy"))}
+        group, xor_pair = by_name["GROUP"], by_name["XOR_PAIR"]
+        for _ in range(2):
+            enumerate_models(group, 2)
+            syn_eq(group, 1)
+            enumerate_models(xor_pair, 0)
+            lindenbaum_algebra(xor_pair)
+        assert sorted(calls) == sorted(by_name)
+
+
 class TestPrint:
     @pytest.mark.parametrize(
         "name", ["group.thy", "group_alt.thy", "props.thy", "idempotent.thy"]

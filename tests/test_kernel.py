@@ -72,6 +72,19 @@ class TestSortOfTerm:
         with pytest.raises(SortMismatchError):
             sort_of_term(mul(x, w), [x, w])
 
+    def test_context_with_a_name_at_two_sorts_is_rejected_in_one_way(self):
+        # the message names the variable and both sorts in sorted order,
+        # whatever the order (or hash order) of the context
+        A, B = Sort("A"), Sort("B")
+        xa, xb = Variable("x", A), Variable("x", B)
+        ax = Equation(App(FunctionSymbol("f", (A, B), A), (xa, xb)), xa)
+        messages = set()
+        for context in (free_vars(ax), [xa, xb], [xb, xa]):
+            with pytest.raises(SortMismatchError) as err:
+                sort_of_term(ax.lhs, context)
+            messages.add(str(err.value))
+        assert messages == {"variable x bound at sorts A and B"}
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -174,6 +187,28 @@ class TestFreeVars:
         assert sort_conflicts(Variable("y", B), mul(x, Variable("x", B)), y, x) == ["x", "y"]
 
 
+class TestMemo:
+    def test_memo_is_outside_init_equality_hash_and_repr(self):
+        t = Theory(name="T", fragment=Fragment.EQ, sorts=(X,), functions=(MUL,), axioms=(Equation(mul(x, y), x),))
+        twin = Theory(name="T", fragment=Fragment.EQ, sorts=(X,), functions=(MUL,), axioms=(Equation(mul(x, y), x),))
+        check_well_formed(t)
+        assert t._memo and not twin._memo
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+        assert "_memo" not in repr(t)
+        with pytest.raises(TypeError):
+            Theory(name="T", fragment=Fragment.EQ, _memo={})
+
+    def test_replace_starts_an_empty_memo(self):
+        import dataclasses
+
+        t = check_well_formed(Theory(name="T", fragment=Fragment.EQ, sorts=(X,), functions=(MUL,)))
+        assert "well_formed" in t._memo
+        bad = dataclasses.replace(t, axioms=(Equation(App(MUL, (x,)), x),))
+        assert bad._memo == {}
+        with pytest.raises(InvalidTheoryError):
+            check_well_formed(bad)
+
+
 class TestCheckWellFormed:
     def test_group_valid(self, group_theory):
         t = check_well_formed(group_theory)
@@ -188,6 +223,20 @@ class TestCheckWellFormed:
 
     def test_idempotent(self, group_theory):
         assert check_well_formed(check_well_formed(group_theory)) == group_theory
+
+    def test_a_pass_is_kept_and_a_failure_raises_every_time(self, monkeypatch):
+        import catlogic.kernel as kernel
+
+        calls = []
+        real = kernel.diagnose
+        monkeypatch.setattr(kernel, "diagnose", lambda t: calls.append(t.name) or real(t))
+        good = Theory(name="GOOD", fragment=Fragment.EQ, sorts=(X,), functions=(MUL,), axioms=(Equation(mul(x, y), x),))
+        bad = Theory(name="BAD", fragment=Fragment.EQ, sorts=(X,), functions=(MUL,), axioms=(Equation(App(MUL, (x,)), x),))
+        for _ in range(2):
+            assert check_well_formed(good) is good
+            with pytest.raises(InvalidTheoryError):
+                check_well_formed(bad)
+        assert calls == ["GOOD", "BAD", "BAD"]
 
     def test_arity_violation(self):
         bad = Theory(
