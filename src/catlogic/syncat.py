@@ -20,8 +20,10 @@ and bounds count tree depth.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable
 
 from . import _core
@@ -41,6 +43,9 @@ from .kernel import (
 )
 
 _REWRITE_STEP_CAP = 100_000
+# largest hom-set syn_eq materialises: depth 6 of a group, 1,457**2 tuples
+# for a two-variable context, fits; depth 7, 4,373**2, does not
+SYN_HOM_BOUND = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +294,10 @@ class PosetArrow:
 class SynCategory:
     """A small category presentation with a decidable morphism equality.
 
-    `hom` enumerates (a truncation of) the morphisms between two objects,
-    `compose(g, f)` is g after f, and `equal` decides morphism equality via
-    the normal-form procedure. The callables are plain data so tests can
-    swap in deliberately broken ones.
+    `hom` enumerates (a truncation of) the morphisms between two objects and
+    `compose(g, f)` is g after f. Morphisms are kept in normal form, so `==`
+    decides their equality. The callables are plain data so tests can swap
+    in deliberately broken ones.
     """
 
     theory: Theory
@@ -301,10 +306,8 @@ class SynCategory:
     hom: Callable
     compose: Callable
     identity: Callable
-    equal: Callable
     random_object: Callable
     random_morphism: Callable
-    depth_bound: int | None = None
     count_morphisms: Callable | None = None
 
     def morphism_count(self) -> int:
@@ -348,7 +351,6 @@ def syn_prop(theory: Theory) -> SynCategory:
         hom=hom,
         compose=compose,
         identity=identity,
-        equal=lambda f, g: f == g,
         random_object=random_object,
         random_morphism=random_morphism,
         # pairs a <= b in the powerset of n atoms: each atom is in neither,
@@ -363,18 +365,17 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
     Objects are contexts with at most max_context_size variables; hom-set
     enumeration truncates at depth_bound (word letters for group theories,
     tree depth otherwise). Composition substitutes and renormalizes, so it is
-    total even beyond the truncation.
+    total even beyond the truncation. `hom` raises CapacityExceededError
+    rather than build a hom-set of more than SYN_HOM_BOUND morphisms.
     """
     if theory.fragment is not Fragment.EQ:
         raise FragmentViolationError(f"theory {theory.name} is not equational")
     check_well_formed(theory)
     sig, norm = _prepared(theory)
 
-    from itertools import product as _product
-
     objects = []
     for size in range(max_context_size + 1):
-        for sorts in _product(theory.sorts, repeat=size):
+        for sorts in product(theory.sorts, repeat=size):
             objects.append(Context(tuple(Variable(f"x{i + 1}", s) for i, s in enumerate(sorts))))
     objects = tuple(objects)
 
@@ -390,8 +391,14 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
         key = (a, b)
         if key not in hom_cache:
             pools = [candidate_terms(a, v.sort) for v in b.variables]
+            count = math.prod(map(len, pools))
+            if count > SYN_HOM_BOUND:
+                raise CapacityExceededError(
+                    f"hom {a} -> {b} has {count} morphisms at depth {depth_bound},"
+                    f" past the bound {SYN_HOM_BOUND}"
+                )
             hom_cache[key] = tuple(
-                SynMorphism(a, b, terms) for terms in _product(*pools)
+                SynMorphism(a, b, terms) for terms in product(*pools)
             )
         return hom_cache[key]
 
@@ -419,10 +426,8 @@ def syn_eq(theory: Theory, depth_bound: int, max_context_size: int = 2) -> SynCa
         hom=hom,
         compose=compose,
         identity=identity,
-        equal=lambda f, g: f == g,
         random_object=random_object,
         random_morphism=random_morphism,
-        depth_bound=depth_bound,
     )
 
 
@@ -436,8 +441,6 @@ def _terms_to_depth(theory: Theory, norm, variables, sort: Sort, depth: int) -> 
         if f.arity == 0:
             level0[f.codomain].append(App(f))
     by_depth[0] = level0
-    from itertools import product as _product
-
     for d in range(1, depth + 1):
         prev = by_depth[d - 1]
         level = {s: list(prev[s]) for s in theory.sorts}
@@ -445,7 +448,7 @@ def _terms_to_depth(theory: Theory, norm, variables, sort: Sort, depth: int) -> 
             if f.arity == 0:
                 continue
             pools = [prev[s] for s in f.domain]
-            for args in _product(*pools):
+            for args in product(*pools):
                 # rebuilds some smaller-depth terms; the normal-form dedupe
                 # below absorbs them
                 level[f.codomain].append(App(f, args))
@@ -492,7 +495,7 @@ def check_category_laws(cat: SynCategory, sample: int, seed: int = 0) -> LawRepo
             continue
         left = cat.compose(cat.identity(b), f)
         right = cat.compose(f, cat.identity(a))
-        if not (cat.equal(left, f) and cat.equal(right, f)):
+        if not (left == f and right == f):
             report.counterexamples.append(("identity", f, left, right))
         report.identity_checked += 1
 
@@ -507,7 +510,7 @@ def check_category_laws(cat: SynCategory, sample: int, seed: int = 0) -> LawRepo
             continue
         left = cat.compose(h, cat.compose(g, f))
         right = cat.compose(cat.compose(h, g), f)
-        if not cat.equal(left, right):
+        if left != right:
             report.counterexamples.append(("associativity", f, g, h, left, right))
         report.associativity_checked += 1
 

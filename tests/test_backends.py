@@ -44,6 +44,13 @@ GROUP_AXIOMS = [
     (1, (0, -2, 0, -1), (-3,)),
 ]
 GROUP_ARITIES = [2, 1, 0]
+# two-sort theories reach the kernels with arities alone, since every sort
+# gets the same carrier size
+TWO_SORT_THEORIES = [
+    ([1], [(2, (0, -1), (1, -1))]),  # f : A -> B; f(x) = f(y)
+    ([2, 1], [(2, (0, 1, -1, -2), (0,))]),  # f : A, A -> B; g : B -> A; g(f(x, y)) = x
+    ([0, 2], [(1, (0, -1, -2), (0,))]),  # c : -> B; f : A, B -> A; f(x, c) = x
+]
 
 
 class TestTableKernels:
@@ -59,6 +66,14 @@ class TestTableKernels:
         assert searched == pure.search_tables(n, GROUP_ARITIES, GROUP_AXIOMS)
         if n <= 3:
             assert searched == native.scan_tables(n, GROUP_ARITIES, GROUP_AXIOMS)
+
+    @pytest.mark.parametrize("arities,axioms", TWO_SORT_THEORIES)
+    def test_two_sort_codes_agree(self, native, arities, axioms):
+        for n in (0, 1, 2, 3):
+            scanned = pure.scan_tables(n, arities, axioms)
+            assert scanned == native.scan_tables(n, arities, axioms)
+            assert scanned == pure.search_tables(n, arities, axioms)
+            assert scanned == native.search_tables(n, arities, axioms)
 
     def test_random_unary_theories(self, native):
         # axioms over a single unary symbol: f(f(x)) = f(x) style

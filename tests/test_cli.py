@@ -243,7 +243,8 @@ class TestModels:
     def test_multi_sorted_scan_gets_the_raw_scan_bound(self, capsys, tmp_path, flags):
         import time
 
-        # the multi-sorted path is a plain scan even when pruning is asked for
+        # the search has no node or result budget yet, so multi-sorted
+        # theories keep the raw-scan bound even when pruning is asked for
         ms = tmp_path / "ms.thy"
         ms.write_text(
             "theory MS eq { sort A; sort B; op f : A, A -> B; op g : B, B -> A;"
@@ -286,6 +287,21 @@ class TestSyn:
     def test_eq_without_normalizer_exits_two(self, capsys):
         code, _, _ = run(capsys, "syn", str(FIXTURES / "group_alt.thy"), "GROUP_R")
         assert code == 2
+
+    def test_hom_past_the_bound_exits_two_promptly(self, capsys):
+        import time
+
+        # depth 7 would build 4,373**2 morphisms for a two-variable hom-set
+        t0 = time.perf_counter()
+        code, report, err = run_json(capsys, "syn", GROUP, "GROUP", "--depth", "7")
+        assert time.perf_counter() - t0 < 3.0
+        assert code == 2
+        message = (
+            "hom [x1:X, x2:X] -> [x1:X, x2:X] has 19123129 morphisms at depth 7,"
+            f" past the bound {2**22}"
+        )
+        assert report["error"] == message
+        assert err == f"error: {message}\n"
 
 
 class TestAdjoint:

@@ -115,19 +115,41 @@ class TestEnumerateModels:
                 enumerate_models(group_theory, size)
             )
 
-    def test_multi_sorted_fallback(self):
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_multi_sorted_search_equals_scan(self, prune):
         from catlogic.dsl import parse_theory
 
         free = parse_theory("theory F2 eq { sort A; sort B; op f : A -> B; }")
-        assert len(enumerate_models(free, 2)) == 4  # all functions 2 -> 2
         const = parse_theory(
             "theory C2 eq { sort A; sort B; op f : A -> B; axiom f(x) = f(y); }"
         )
-        constant_models = enumerate_models(const, 2)
-        assert len(constant_models) == 2
-        for m in constant_models:
-            assert check_model(const, m)
-            assert len(set(m.table("f"))) == 1
+        for n in (1, 2, 3):
+            for theory, count in ((free, n**n), (const, n)):
+                models = enumerate_models(theory, n, prune=prune)
+                assert models == enumerate_models(theory, n, prune=not prune)
+                assert len(models) == count
+                assert all(check_model(theory, m) for m in models)
+                if theory is const:
+                    assert all(len(set(m.table("f"))) == 1 for m in models)
+
+    def test_two_sort_retraction_at_size_three(self):
+        import time
+
+        from catlogic.dsl import parse_theory
+
+        t = parse_theory(
+            "theory R eq { sort A; sort B; op f : A, A -> B; op g : B -> A;"
+            " axiom g(f(x, y)) = x; }"
+        )
+        t0 = time.perf_counter()
+        models = enumerate_models(t, 3)
+        assert time.perf_counter() - t0 < 1.0
+        # g must be onto, so a bijection, and then f(x, y) = g^-1(x)
+        assert len(models) == 6
+        for m in models:
+            g = m.table("g")
+            assert sorted(g) == [0, 1, 2]
+            assert m.table("f") == tuple(g.index(x) for x in range(3) for _ in range(3))
 
     def test_sizes_apply_per_sort(self):
         from catlogic.dsl import parse_theory
