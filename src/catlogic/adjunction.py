@@ -18,9 +18,10 @@ naturality triples by index (its docstring gives the order). Each naturality
 square's t . f and syn(t) . transpose(f) depend on (t, f) alone, so the check
 builds them once per (t, f) and reuses them for every (B', b); the squares,
 their order and the transpose_fn calls are those of a check without reuse.
-lang keeps at most CACHE_SIZE diagram theories, keyed by algebra. syn keeps
-a theory's Lindenbaum algebra in its memo (kernel.Theory), and lang(B)'s memo
-keeps canonical_iso(B) and its inverse, so each is built once per theory.
+lang keeps at most CACHE_SIZE diagram theories, keyed by algebra. syn is the
+Lindenbaum algebra, which boolalg keeps in the theory's memo (kernel.Theory),
+and lang(B)'s memo keeps canonical_iso(B) and its inverse, so each is built
+once per theory.
 """
 
 from __future__ import annotations
@@ -90,12 +91,9 @@ def lang(B: FiniteBooleanAlgebra) -> Theory:
 
 
 def syn(theory: Theory) -> FiniteBooleanAlgebra:
-    """Syn of a propositional theory: its Lindenbaum algebra, kept in the
-    theory's memo."""
-    memo = theory._memo
-    if "syn" not in memo:
-        memo["syn"] = lindenbaum_algebra(theory).algebra
-    return memo["syn"]
+    """Syn of a propositional theory: its Lindenbaum algebra, which
+    lindenbaum_algebra keeps in the theory's memo."""
+    return lindenbaum_algebra(theory).algebra
 
 
 def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:

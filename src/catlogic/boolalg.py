@@ -100,11 +100,6 @@ class FiniteBooleanAlgebra:
     def atoms(self) -> Iterator[int]:
         return (1 << i for i in range(self.atom_count))
 
-    def atom(self, index: int) -> int:
-        if not 0 <= index < self.atom_count:
-            raise IndexError(f"atom index {index} out of range")
-        return 1 << index
-
     # -- operations ---------------------------------------------------------
 
     def join(self, a: int, b: int) -> int:
@@ -129,11 +124,6 @@ class FiniteBooleanAlgebra:
         if not 0 <= e < self.element_count:
             raise ValueError(f"{e} is not an element of this algebra")
         return e
-
-
-def two() -> FiniteBooleanAlgebra:
-    """The two-element algebra of truth values."""
-    return FiniteBooleanAlgebra(1)
 
 
 @dataclass(frozen=True)
@@ -288,12 +278,12 @@ def _require_prop(theory: Theory) -> Theory:
     return check_well_formed(theory)
 
 
-def _iter_models(theory: Theory, atom_bound: int) -> Iterator[TruthAssignment]:
+def _iter_models(theory: Theory) -> Iterator[TruthAssignment]:
     _require_prop(theory)
     letters = theory.letters
-    if len(letters) > atom_bound:
+    if len(letters) > DEFAULT_ATOM_BOUND:
         raise CapacityExceededError(
-            f"{len(letters)} letters exceed the assignment bound {atom_bound}"
+            f"{len(letters)} letters exceed the assignment bound {DEFAULT_ATOM_BOUND}"
         )
     for bits in product((0, 1), repeat=len(letters)):
         assignment = TruthAssignment(letters, bits)
@@ -303,7 +293,7 @@ def _iter_models(theory: Theory, atom_bound: int) -> Iterator[TruthAssignment]:
 
 def satisfying_assignments(theory: Theory) -> list[TruthAssignment]:
     """The assignments making every axiom true, in lexicographic order."""
-    return list(_iter_models(theory, DEFAULT_ATOM_BOUND))
+    return list(_iter_models(theory))
 
 
 @dataclass(frozen=True)
@@ -340,21 +330,27 @@ def _atoms_of(formula: Formula) -> list[Atom]:
     return []
 
 
-def lindenbaum_algebra(theory: Theory, atom_bound: int = DEFAULT_ATOM_BOUND) -> LindenbaumAlgebra:
+def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
     """The Lindenbaum algebra of a propositional theory.
 
-    Raises CapacityExceededError as soon as the model walk finds more than
-    atom_bound satisfying assignments, without walking the rest.
+    The algebra is built by one model walk per theory and kept in the
+    theory's memo; each call wraps it afresh, since a stored wrapper would
+    point back at the theory. Raises CapacityExceededError as soon as the
+    walk finds more than DEFAULT_ATOM_BOUND satisfying assignments, without
+    walking the rest, and stores nothing, so a theory past the bound raises
+    on every call.
     """
-    models = []
-    for assignment in _iter_models(theory, atom_bound):
-        if len(models) == atom_bound:
-            raise CapacityExceededError(
-                f"{atom_bound + 1} or more atoms exceed the bound {atom_bound}"
-            )
-        models.append(assignment)
-    algebra = FiniteBooleanAlgebra(len(models), tuple(models))
-    return LindenbaumAlgebra(theory, algebra)
+    memo = theory._memo
+    if "lindenbaum" not in memo:
+        models = []
+        for assignment in _iter_models(theory):
+            if len(models) == DEFAULT_ATOM_BOUND:
+                raise CapacityExceededError(
+                    f"{DEFAULT_ATOM_BOUND + 1} or more atoms exceed the bound {DEFAULT_ATOM_BOUND}"
+                )
+            models.append(assignment)
+        memo["lindenbaum"] = FiniteBooleanAlgebra(len(models), tuple(models))
+    return LindenbaumAlgebra(theory, memo["lindenbaum"])
 
 
 def free_boolean_algebra(letters: Iterable[str]) -> LindenbaumAlgebra:

@@ -287,10 +287,6 @@ class NeuronState:
     neuron: str
     point: int | None
 
-    @property
-    def silent(self) -> bool:
-        return self.point is None
-
 
 @dataclass
 class StateTrace:
@@ -299,9 +295,6 @@ class StateTrace:
     initial: dict[str, int | None]
     steps: list[dict[str, int | None]] = field(default_factory=list)
     decisions: list[dict[str, str | None]] = field(default_factory=list)
-
-    def final(self) -> dict[str, int | None]:
-        return self.steps[-1] if self.steps else dict(self.initial)
 
 
 def propagate(g: BrainGraph, initial: list[NeuronState], steps: int) -> StateTrace:

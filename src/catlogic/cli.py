@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 
 from . import __version__, adjunction, boolalg, brain, models, stone, syncat
@@ -173,7 +174,7 @@ def cmd_check(args, echo) -> int:
 
 def cmd_stone(args, echo) -> int:
     theory, digest = _theory(args, prop=True)
-    alg = boolalg.lindenbaum_algebra(theory, atom_bound=args.max_atoms).algebra
+    alg = boolalg.lindenbaum_algebra(theory).algebra
     report = _base_report(echo, digest)
     try:
         stone.double_dual_iso(alg)
@@ -261,8 +262,6 @@ def cmd_syn(args, echo) -> int:
 def cmd_adjoint(args, echo) -> int:
     theory, digest = _theory(args, prop=True)
     _require_nonnegative(atoms=args.atoms)
-
-    import random
 
     report = _base_report(echo, digest)
     report["seed"] = args.seed
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_stone)
     p.add_argument("path")
     p.add_argument("theory")
-    p.add_argument("--max-atoms", type=int, default=boolalg.DEFAULT_ATOM_BOUND, help="capacity bound")
     p.add_argument("--replay", metavar="ID")
 
     p = sub.add_parser("models", help="enumerate models on a labelled carrier")

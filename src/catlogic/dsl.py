@@ -149,9 +149,9 @@ class _Lexer:
             raise TheorySyntaxError(f"expected {text!r}, found {tok.text!r}", tok.span)
         return tok
 
-    def expect_ident(self, allow_keyword: bool = False) -> _Token:
+    def expect_ident(self) -> _Token:
         tok = self.next()
-        if tok.kind != "ident" or (not allow_keyword and tok.text in KEYWORDS):
+        if tok.kind != "ident" or tok.text in KEYWORDS:
             raise TheorySyntaxError(f"expected an identifier, found {tok.text!r}", tok.span)
         return tok
 

@@ -24,11 +24,12 @@ finish in two minutes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import product
 
 from . import _core
-from .boolalg import satisfying_assignments
+from .boolalg import TruthAssignment, eval_formula, satisfying_assignments
 from .errors import CapacityExceededError, SignatureMismatchError
 from .kernel import (
     App,
@@ -41,7 +42,7 @@ from .kernel import (
     check_well_formed,
     free_vars,
 )
-from .syncat import Context, SynCategory, SynMorphism
+from .syncat import Context, SynCategory, SynMorphism, syn_eq
 
 NAIVE_CANDIDATE_BOUND = 10**9
 SEARCH_CANDIDATE_BOUND = 10**18
@@ -101,8 +102,6 @@ def check_model(theory: Theory, model: FiniteModel) -> bool:
     if model.theory != theory:
         raise SignatureMismatchError("model was built for a different theory")
     if theory.fragment is Fragment.PROP:
-        from .boolalg import TruthAssignment, eval_formula
-
         assignment = TruthAssignment(theory.letters, model.letter_values)
         return all(eval_formula(ax, assignment) for ax in theory.axioms)
     for ax in theory.axioms:
@@ -297,8 +296,6 @@ class FunctorPresentation:
 
     def verify(self, samples: int = 50, seed: int = 0) -> bool:
         """Functor laws on identities (all objects) and sampled composites."""
-        import random
-
         cat = self.category
         for ctx in cat.objects:
             image = self.morphism_image(cat.identity(ctx))
@@ -368,8 +365,6 @@ def homs_equal_nat_trans(m: FiniteModel, n: FiniteModel, depth: int) -> Correspo
     forces; naturality for generators extends to their composites because
     the functor images compose.
     """
-    from .syncat import syn_eq
-
     if m.theory != n.theory:
         raise SignatureMismatchError("models belong to different theories")
     theory = m.theory

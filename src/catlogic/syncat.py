@@ -27,6 +27,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import _core
+from .boolalg import lindenbaum_algebra
 from .errors import CapacityExceededError, FragmentViolationError, NoNormalizerError
 from .kernel import (
     App,
@@ -222,8 +223,11 @@ def _normalizer(theory: Theory, sig: GroupSignature | None) -> Callable[[Term], 
             return term_of_word(word, sig, generators)
 
         return by_words
-    if theory.rewrites:
-        return lambda term: rewrite_normal_form(term, theory.rewrites)
+    rules = theory.rewrites
+    if rules:
+        # binds the rules, not the theory: the theory's memo keeps this
+        # function, and capturing the theory would make a reference cycle
+        return lambda term: rewrite_normal_form(term, rules)
     raise NoNormalizerError(
         f"theory {theory.name} is not a group presentation and declares no rewrite system"
     )
@@ -318,8 +322,6 @@ class SynCategory:
 
 def syn_prop(theory: Theory) -> SynCategory:
     """Lindenbaum poset category: at most one morphism a -> b, iff a <= b."""
-    from .boolalg import lindenbaum_algebra
-
     if theory.fragment is not Fragment.PROP:
         raise FragmentViolationError(f"theory {theory.name} is not propositional")
     lin = lindenbaum_algebra(theory)

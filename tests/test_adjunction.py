@@ -15,10 +15,19 @@ from catlogic.adjunction import (
     transpose,
     untranspose,
 )
-from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra, enumerate_homs, verify_hom
+from catlogic import boolalg
+from catlogic.boolalg import (
+    BoolHom,
+    FiniteBooleanAlgebra,
+    entails,
+    enumerate_homs,
+    lindenbaum_algebra,
+    verify_hom,
+)
 from catlogic.dsl import parse_file
 from catlogic.errors import CapacityExceededError, FragmentViolationError
 from catlogic.kernel import Fragment, Theory
+from catlogic.syncat import syn_prop
 
 from corpus import theory_corpus
 from oracles import hom_preserves_everything
@@ -304,17 +313,30 @@ def _fresh(text):
 
 
 class TestMemo:
-    def test_syn_of_a_theory_is_derived_once(self, monkeypatch):
-        import catlogic.adjunction as adjunction
-
-        T = _fresh("theory MEMO_SYN prop { letters p, q; axiom or(p, q); }")
+    @staticmethod
+    def _count_model_walks(monkeypatch):
         seen = []
-        real = adjunction.lindenbaum_algebra
-        monkeypatch.setattr(adjunction, "lindenbaum_algebra", lambda t: seen.append(t) or real(t))
+        real = boolalg._iter_models
+        monkeypatch.setattr(boolalg, "_iter_models", lambda t: seen.append(t) or real(t))
+        return seen
+
+    def test_syn_of_a_theory_is_derived_once(self, monkeypatch):
+        T = _fresh("theory MEMO_SYN prop { letters p, q; axiom or(p, q); }")
+        seen = self._count_model_walks(monkeypatch)
         first = check_adjunction(FiniteBooleanAlgebra(2), T)
         second = check_adjunction(FiniteBooleanAlgebra(2), T)
         assert first.passed and second.passed
         assert sum(t is T for t in seen) == 1
+
+    def test_one_model_walk_serves_every_lindenbaum_caller(self, monkeypatch):
+        T = _fresh("theory MEMO_WALK prop { letters p, q; axiom implies(p, q); }")
+        seen = self._count_model_walks(monkeypatch)
+        B = syn(T)
+        assert len(syn_prop(T).objects) == B.element_count == 8
+        assert entails(T, T.axioms[0])
+        lin = lindenbaum_algebra(T)
+        assert lin.algebra is B and lin.theory is T
+        assert seen == [T]
 
     def test_canonical_iso_and_its_inverse_are_built_once(self, monkeypatch):
         # an algebra labelled by letters no other test uses, so lang(B) is new

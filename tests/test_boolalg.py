@@ -65,10 +65,14 @@ class TestLindenbaum:
         assert lin.algebra.top == lin.algebra.bottom
 
     def test_model_walk_stops_past_the_bound(self):
-        theory = parse_theory("theory F prop { letters a, b, c; }")
-        assert lindenbaum_algebra(theory, atom_bound=8).algebra.atom_count == 8
-        with pytest.raises(CapacityExceededError, match="^8 or more atoms exceed the bound 7$"):
-            lindenbaum_algebra(theory, atom_bound=7)
+        # 16 + 4 models on five letters: exactly the bound
+        at = parse_theory("theory F prop { letters a, b, c, d, e; axiom or(a, and(b, c)); }")
+        assert lindenbaum_algebra(at).algebra.atom_count == 20
+        # 28 models; a theory past the bound raises on every call
+        past = parse_theory("theory G prop { letters a, b, c, d, e; axiom or(a, or(b, c)); }")
+        for _ in range(2):
+            with pytest.raises(CapacityExceededError, match="^21 or more atoms exceed the bound 20$"):
+                lindenbaum_algebra(past)
 
     def test_axioms_land_on_top(self, xor_pair):
         lin = lindenbaum_algebra(xor_pair)

@@ -199,6 +199,32 @@ class TestStone:
         assert code == 2
         assert report["error"] == "21 or more atoms exceed the bound 20"
 
+    def test_too_many_letters_is_a_prompt_input_error(self, capsys, tmp_path):
+        import time
+
+        # inconsistent, so no model would ever pass the atom bound
+        wide = tmp_path / "wide24.thy"
+        letters = ", ".join(f"p{i:02d}" for i in range(24))
+        wide.write_text(f"theory WIDE24 prop {{ letters {letters}; axiom and(p00, not(p00)); }}\n")
+        t0 = time.perf_counter()
+        code, report, _ = run_json(capsys, "stone", str(wide), "WIDE24")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert report["error"] == "24 letters exceed the assignment bound 20"
+
+    def test_atom_bound_is_not_an_option(self, capsys, monkeypatch, tmp_path):
+        from catlogic import _core, boolalg
+
+        five = tmp_path / "five.thy"
+        five.write_text("theory T prop { letters a, b, c, d, e; }\n")
+        reached = []
+        monkeypatch.setattr(boolalg, "lindenbaum_algebra", lambda *a, **k: reached.append(a))
+        monkeypatch.setattr(_core, "hom_image_table", lambda *a: reached.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["stone", str(five), "T", "--max-atoms", "32"])
+        assert exc.value.code == 2 and reached == []
+        assert "unrecognized arguments: --max-atoms 32" in capsys.readouterr().err
+
 
 class TestModels:
     @pytest.mark.parametrize("size,count", [(2, 2), (4, 16)])

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from catlogic.dsl import parse_theory
+from catlogic.adjunction import syn
+from catlogic.dsl import parse_file, parse_theory
 from catlogic.errors import NoNormalizerError
 from catlogic.kernel import App, Variable
 from catlogic.syncat import (
@@ -205,6 +208,34 @@ class TestNormalize:
         syn_eq(theory, 2)
         assert calls == [theory]
         assert theory == parse_theory(fixture_text(name))  # not a field
+
+
+def _normalize_a_variable(theory):
+    normalize(theory, Variable("x", theory.sorts[0]))
+
+
+class TestMemoLifetime:
+    @pytest.mark.parametrize(
+        "fixture,name,derive,key",
+        [
+            ("props.thy", "XOR_PAIR", syn, "lindenbaum"),
+            ("group.thy", "GROUP", _normalize_a_variable, "normal"),
+            ("idempotent.thy", "SQUASH", _normalize_a_variable, "normal"),
+        ],
+    )
+    def test_memo_keeps_no_theory_alive(self, fixture, name, derive, key):
+        # with the cycle collector off only refcounting frees a theory, so a
+        # memo entry that refers back to its theory would keep it alive
+        gc.disable()
+        try:
+            theory = next(t for t in parse_file(fixture_text(fixture)) if t.name == name)
+            derive(theory)
+            assert key in theory._memo
+            ref = weakref.ref(theory)
+            del theory
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestReducedWords:
