@@ -180,7 +180,7 @@ def cmd_stone(args, echo) -> int:
         stone.double_dual_iso(alg)
         verdict = "pass"
         detail = {"bijective": True, "preserves_operations": True}
-    except AssertionError as exc:  # pragma: no cover - a defect, not an input
+    except AssertionError as exc:  # a defect, not an input
         verdict = "fail"
         detail = {"error": str(exc)}
         report["counterexamples"].append({"id": "double-dual", "message": str(exc)})

@@ -1,26 +1,28 @@
-"""Finite Stone duality: prime-filter spaces, clopen algebras, the double
-dual isomorphism, and the unit map approximating a space by a Stone space.
+"""Finite Stone duality: the prime-filter space of a finite Boolean algebra,
+the algebra of its clopen sets, the double dual isomorphism, and the duals of
+homomorphisms.
 
-Spaces carry an explicit open-set family (point sets as bit masks over an
-ordered point list). Discrete spaces keep the sentinel `opens=None` instead
-of materializing the full powerset; a constructed family that happens to be
-the powerset is normalized to the sentinel so equality stays structural.
+Every space here is the Stone space of a finite algebra, so it is finite
+and Hausdorff. A finite Hausdorff space is discrete: its points are closed,
+so every subset, a finite union of points, is closed, and so is every
+complement (Johnstone, *Stone Spaces*, 1982). Every subset is therefore
+clopen and every point function is continuous, so a space is just its
+points: `FiniteSpace` keeps a point count and labels, a map between spaces
+is its tuple of point images, and the clopen algebra is the powerset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .boolalg import BoolHom, FiniteBooleanAlgebra, verify_hom
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite topological space; opens=None means discrete (all subsets)."""
+    """Finite discrete space: points 0..point_count-1, optionally labelled."""
 
     point_count: int
-    opens: frozenset[int] | None = None
     point_labels: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -28,53 +30,6 @@ class FiniteSpace:
             raise ValueError("negative point count")
         if self.point_labels is not None and len(self.point_labels) != self.point_count:
             raise ValueError("one label per point required")
-        if self.opens is None:
-            return
-        full = self.full_set
-        for s in self.opens:
-            if not 0 <= s <= full:
-                raise ValueError(f"open {s:#x} is not a point subset")
-        if 0 not in self.opens or full not in self.opens:
-            raise ValueError("opens must contain the empty set and the full set")
-        for a in self.opens:
-            for b in self.opens:
-                if a | b not in self.opens or a & b not in self.opens:
-                    raise ValueError("opens not closed under union/intersection")
-        if len(self.opens) == 1 << self.point_count:
-            object.__setattr__(self, "opens", None)
-
-    @property
-    def full_set(self) -> int:
-        return (1 << self.point_count) - 1
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.opens is None
-
-    def is_open(self, subset: int) -> bool:
-        if self.opens is None:
-            return 0 <= subset <= self.full_set
-        return subset in self.opens
-
-    def open_sets(self) -> Iterator[int]:
-        if self.opens is None:
-            return iter(range(1 << self.point_count))
-        return iter(sorted(self.opens))
-
-    def points(self) -> range:
-        return range(self.point_count)
-
-
-def discrete_space(point_count: int, point_labels: tuple = None) -> FiniteSpace:
-    return FiniteSpace(point_count, None, point_labels)
-
-
-def clopens(space: FiniteSpace) -> list[int]:
-    """All subsets that are open with open complement, ascending."""
-    if space.is_discrete:
-        return list(range(1 << space.point_count))
-    full = space.full_set
-    return sorted(s for s in space.opens if (full ^ s) in space.opens)
 
 
 @dataclass(frozen=True)
@@ -87,10 +42,6 @@ class StonePoint:
     def __post_init__(self) -> None:
         if not 0 <= self.atom_index < self.algebra.atom_count:
             raise ValueError(f"atom index {self.atom_index} out of range")
-
-    @property
-    def atom(self) -> int:
-        return 1 << self.atom_index
 
     def contains(self, element: int) -> bool:
         self.algebra.check(element)
@@ -126,97 +77,17 @@ def stone_points(B: FiniteBooleanAlgebra) -> list[StonePoint]:
 
 
 def stone_space(B: FiniteBooleanAlgebra) -> FiniteSpace:
-    """The space of prime filters; finite Stone spaces are discrete."""
-    return discrete_space(B.atom_count, tuple(stone_points(B)))
+    """The space of prime filters, labelled by the filters themselves."""
+    return FiniteSpace(B.atom_count, tuple(stone_points(B)))
 
 
 def bool_of_space(X: FiniteSpace) -> FiniteBooleanAlgebra:
     """The algebra of clopen subsets of X under the pointwise operations.
 
-    Equivalently the continuous maps X -> 2. Atoms are the minimal nonempty
-    clopens, labelled by their point sets in ascending mask order.
+    Every subset is clopen, so the atoms are the singletons, labelled by
+    their point masks in point order.
     """
-    if X.is_discrete:
-        # every singleton is clopen, so the minimal clopens are the singletons
-        return FiniteBooleanAlgebra(X.point_count, tuple(1 << p for p in X.points()))
-    clp = set(clopens(X))
-    minimal: list[int] = []
-    seen: set[int] = set()
-    for p in X.points():
-        # the minimal clopen around p: intersection of all clopens containing p
-        acc = X.full_set
-        for s in clp:
-            if (s >> p) & 1:
-                acc &= s
-        if acc not in seen:
-            seen.add(acc)
-            minimal.append(acc)
-    minimal.sort()
-    return FiniteBooleanAlgebra(len(minimal), tuple(minimal))
-
-
-def clopen_of_element(algebra: FiniteBooleanAlgebra, element: int) -> int:
-    """Point set named by an element of a clopen algebra (union of its atoms)."""
-    algebra.check(element)
-    out = 0
-    for i, label in enumerate(algebra.atom_labels):
-        if (element >> i) & 1:
-            out |= label
-    return out
-
-
-@dataclass(frozen=True)
-class ContinuousMap:
-    """Point function between finite spaces; continuity is checked on build."""
-
-    source: FiniteSpace
-    target: FiniteSpace
-    point_map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.point_map) != self.source.point_count:
-            raise ValueError("point_map must cover every source point")
-        for q in self.point_map:
-            if not 0 <= q < self.target.point_count:
-                raise ValueError(f"point {q} outside the target space")
-        if not self._continuous():
-            raise ValueError("map is not continuous")
-
-    def _continuous(self) -> bool:
-        if self.target.is_discrete:
-            # preimages of singletons suffice: opens are closed under union
-            singleton_opens = (1 << q for q in range(self.target.point_count))
-            return all(self.source.is_open(self.preimage(s)) for s in singleton_opens)
-        return all(self.source.is_open(self.preimage(s)) for s in self.target.open_sets())
-
-    def preimage(self, subset: int) -> int:
-        out = 0
-        for p, q in enumerate(self.point_map):
-            if (subset >> q) & 1:
-                out |= 1 << p
-        return out
-
-    def __call__(self, point: int) -> int:
-        return self.point_map[point]
-
-    def compose(self, other: "ContinuousMap") -> "ContinuousMap":
-        """self after other."""
-        if other.target != self.source:
-            raise ValueError("maps not composable")
-        return ContinuousMap(
-            other.source, self.target, tuple(self.point_map[p] for p in other.point_map)
-        )
-
-    @staticmethod
-    def identity(space: FiniteSpace) -> "ContinuousMap":
-        return ContinuousMap(space, space, tuple(space.points()))
-
-    @property
-    def is_bijective(self) -> bool:
-        return (
-            self.source.point_count == self.target.point_count
-            and sorted(self.point_map) == list(range(self.target.point_count))
-        )
+    return FiniteBooleanAlgebra(X.point_count, tuple(1 << p for p in range(X.point_count)))
 
 
 def double_dual_iso(B: FiniteBooleanAlgebra) -> BoolHom:
@@ -227,40 +98,20 @@ def double_dual_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     """
     X = stone_space(B)
     C = bool_of_space(X)
-    # target atom j is labelled by a one-point clopen; recover the B-atom
-    # generating that point's prime filter
-    atom_map = []
-    for label in C.atom_labels:
-        if label == 0 or label & (label - 1):
-            raise AssertionError("Stone space of a finite algebra must be discrete")
-        point_index = label.bit_length() - 1
-        atom_map.append(X.point_labels[point_index].atom_index)
-    hom = BoolHom(B, C, tuple(atom_map))
+    # target atom j is a singleton clopen; recover the B-atom generating
+    # that point's prime filter
+    atom_map = tuple(X.point_labels[label.bit_length() - 1].atom_index for label in C.atom_labels)
+    hom = BoolHom(B, C, atom_map)
     assert hom.is_isomorphism, "double dual map is not bijective"
     assert verify_hom(hom), "double dual map does not preserve the operations"
     return hom
 
 
-def unit_map(X: FiniteSpace) -> ContinuousMap:
-    """x |-> the prime filter of clopens containing x; the best Stone
-    approximation of X. Bijective exactly when X is discrete."""
-    C = bool_of_space(X)
-    target = stone_space(C)
-    point_map = []
-    for p in X.points():
-        for j, label in enumerate(C.atom_labels):
-            if (label >> p) & 1:
-                point_map.append(j)
-                break
-        else:  # pragma: no cover - the minimal clopens cover the space
-            raise AssertionError(f"point {p} lies in no minimal clopen")
-    return ContinuousMap(X, target, tuple(point_map))
-
-
-def stone_dual_of_hom(h: BoolHom) -> ContinuousMap:
-    """Contravariant dual: a hom B -> C becomes Stone(C) -> Stone(B) by
-    taking preimages of prime filters, which is exactly the atom map."""
-    return ContinuousMap(stone_space(h.target), stone_space(h.source), h.atom_map)
+def stone_dual_of_hom(h: BoolHom) -> tuple[int, ...]:
+    """Contravariant dual: a hom B -> C becomes the point map Stone(C) ->
+    Stone(B) taking preimages of prime filters, which is exactly the atom
+    map. Every point map between discrete spaces is continuous."""
+    return h.atom_map
 
 
 def dual_by_preimage(h: BoolHom, point: StonePoint) -> StonePoint:

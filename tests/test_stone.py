@@ -4,42 +4,16 @@ import pytest
 
 from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra, lindenbaum_algebra
 from catlogic.stone import (
-    ContinuousMap,
     FiniteSpace,
     bool_of_space,
-    clopen_of_element,
-    clopens,
-    discrete_space,
     double_dual_iso,
     dual_by_preimage,
     stone_dual_of_hom,
     stone_points,
     stone_space,
-    unit_map,
 )
 
 from oracles import hom_preserves_everything, prime_filters
-
-SIERPINSKI = FiniteSpace(2, frozenset({0b00, 0b01, 0b11}))
-
-
-class TestSpaces:
-    def test_powerset_family_normalizes_to_discrete(self):
-        explicit = FiniteSpace(2, frozenset({0b00, 0b01, 0b10, 0b11}))
-        assert explicit.is_discrete
-        assert explicit == discrete_space(2)
-
-    def test_closure_enforced(self):
-        with pytest.raises(ValueError):
-            FiniteSpace(2, frozenset({0b00, 0b11}) - {0b00})
-        with pytest.raises(ValueError):
-            # {a} and {b} open but their union missing
-            FiniteSpace(3, frozenset({0b000, 0b001, 0b010, 0b111}))
-
-    def test_sierpinski_opens(self):
-        assert not SIERPINSKI.is_discrete
-        assert SIERPINSKI.is_open(0b01)
-        assert not SIERPINSKI.is_open(0b10)
 
 
 class TestStoneSpace:
@@ -47,7 +21,6 @@ class TestStoneSpace:
         alg = lindenbaum_algebra(xor_pair).algebra
         space = stone_space(alg)
         assert space.point_count == 2
-        assert space.is_discrete
 
     def test_two_gives_one_point(self):
         assert stone_space(FiniteBooleanAlgebra(1)).point_count == 1
@@ -70,21 +43,16 @@ class TestStoneSpace:
 
 class TestBoolOfSpace:
     def test_discrete_two_point(self):
-        assert bool_of_space(discrete_space(2)).element_count == 4
-
-    def test_sierpinski(self):
-        alg = bool_of_space(SIERPINSKI)
-        assert alg.element_count == 2
-        assert clopens(SIERPINSKI) == [0b00, 0b11]
+        assert bool_of_space(FiniteSpace(2)).element_count == 4
 
     def test_empty_space(self):
-        assert bool_of_space(discrete_space(0)).element_count == 1
+        assert bool_of_space(FiniteSpace(0)).element_count == 1
 
     def test_discrete_fast_path_matches_generic(self):
-        # force the generic clopen scan by passing the explicit powerset
-        # family through a non-normalized route: compare atom labels
+        # oracle: the minimal clopen around each point, intersected over
+        # every subset containing it, must be the singleton atom label
         for n in (1, 2, 3):
-            fast = bool_of_space(discrete_space(n))
+            fast = bool_of_space(FiniteSpace(n))
             clp = set(range(1 << n))
             minimal = []
             for p in range(n):
@@ -100,10 +68,6 @@ class TestBoolOfSpace:
         for n in range(5):
             B = FiniteBooleanAlgebra(n)
             assert bool_of_space(stone_space(B)).atom_count == B.atom_count
-
-    def test_clopen_of_element(self):
-        alg = bool_of_space(SIERPINSKI)
-        assert clopen_of_element(alg, alg.top) == SIERPINSKI.full_set
 
 
 class TestDoubleDual:
@@ -132,42 +96,17 @@ class TestDoubleDual:
         assert hom_preserves_everything(iso)
 
 
-class TestUnitMap:
-    def test_discrete_is_bijective(self):
-        m = unit_map(discrete_space(2))
-        assert m.is_bijective
-
-    def test_sierpinski_collapses(self):
-        m = unit_map(SIERPINSKI)
-        assert m.target.point_count == 1
-        assert m.point_map == (0, 0)
-        assert not m.is_bijective
-
-    def test_empty(self):
-        m = unit_map(discrete_space(0))
-        assert m.point_map == ()
-
-    def test_bijective_iff_singletons_clopen(self):
-        three_chain = FiniteSpace(2, frozenset({0b00, 0b10, 0b11}))
-        assert not unit_map(three_chain).is_bijective
-        singleton_clopen = all(
-            three_chain.is_open(1 << p) and three_chain.is_open(three_chain.full_set ^ (1 << p))
-            for p in three_chain.points()
-        )
-        assert unit_map(three_chain).is_bijective == singleton_clopen
-
-
 class TestDualOfHom:
+    """Duals are point tuples: Stone(C) point j goes to Stone(B) point dual[j]."""
+
     def test_identity_dualizes_to_identity(self):
         B = FiniteBooleanAlgebra(3)
-        dual = stone_dual_of_hom(BoolHom.identity(B))
-        assert dual.point_map == (0, 1, 2)
+        assert stone_dual_of_hom(BoolHom.identity(B)) == (0, 1, 2)
 
     def test_unique_hom_from_two_collapses(self):
         two, B = FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(3)
-        (h,) = [BoolHom(two, B, (0, 0, 0))]
-        dual = stone_dual_of_hom(h)
-        assert dual.source.point_count == 3 and dual.target.point_count == 1
+        # three points of Stone(B), all sent to the one point of Stone(2)
+        assert stone_dual_of_hom(BoolHom(two, B, (0, 0, 0))) == (0, 0, 0)
 
     def test_two_homs_from_free_one_dualize_to_point_inclusions(self):
         from catlogic.boolalg import enumerate_homs, free_boolean_algebra
@@ -175,7 +114,7 @@ class TestDualOfHom:
         f1 = free_boolean_algebra(["x"]).algebra
         two = FiniteBooleanAlgebra(1)
         duals = [stone_dual_of_hom(h) for h in enumerate_homs(f1, two)]
-        assert sorted(d.point_map for d in duals) == [(0,), (1,)]
+        assert sorted(duals) == [(0,), (1,)]
 
     def test_matches_filter_preimage_oracle(self):
         rng = random.Random(6)
@@ -184,8 +123,9 @@ class TestDualOfHom:
             B, C = FiniteBooleanAlgebra(m), FiniteBooleanAlgebra(k)
             h = BoolHom(B, C, tuple(rng.randrange(m) for _ in range(k)))
             dual = stone_dual_of_hom(h)
+            assert len(dual) == C.atom_count
             for point in stone_points(C):
-                assert dual(point.atom_index) == dual_by_preimage(h, point).atom_index
+                assert dual[point.atom_index] == dual_by_preimage(h, point).atom_index
 
     def test_contravariant_functoriality(self):
         rng = random.Random(60)
@@ -195,17 +135,6 @@ class TestDualOfHom:
             h = BoolHom(A, B, tuple(rng.randrange(m) for _ in range(k)))
             g = BoolHom(B, C, tuple(rng.randrange(k) for _ in range(l)))
             lhs = stone_dual_of_hom(g.compose(h))
-            rhs = stone_dual_of_hom(h).compose(stone_dual_of_hom(g))
-            assert lhs == rhs
-
-
-class TestContinuity:
-    def test_discontinuous_map_rejected(self):
-        # Sierpinski: {a} is open; pulling it back through the swap gives
-        # {b}, which is not open
-        with pytest.raises(ValueError):
-            ContinuousMap(SIERPINSKI, SIERPINSKI, (1, 0))
-
-    def test_identity_continuous_everywhere(self):
-        for space in (SIERPINSKI, discrete_space(3)):
-            ContinuousMap.identity(space)
+            # dual(h) after dual(g): Stone(C) -> Stone(B) -> Stone(A)
+            dual_h, dual_g = stone_dual_of_hom(h), stone_dual_of_hom(g)
+            assert lhs == tuple(dual_h[q] for q in dual_g)
