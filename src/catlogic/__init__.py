@@ -21,7 +21,7 @@ from .boolalg import (
     lindenbaum_algebra,
     satisfying_assignments,
 )
-from .kernel import Fragment, Theory, check_well_formed, free_vars, sort_of_term, substitute
+from .kernel import Fragment, Theory, check_well_formed, free_vars, substitute
 
 __all__ = [
     "BACKEND",
@@ -39,6 +39,5 @@ __all__ = [
     "free_vars",
     "lindenbaum_algebra",
     "satisfying_assignments",
-    "sort_of_term",
     "substitute",
 ]

@@ -385,12 +385,14 @@ def _parse_init(graph, spec: str | None):
     out = []
     for part in spec.split(","):
         name, _, value = part.strip().partition("=")
-        if not name or not value:
+        # an atom is ASCII digits only, as in a brain file: int() alone would
+        # also read '٣', '1_0', '+1' and ' 1'
+        if not name or not (value == "silent" or (value.isascii() and value.isdigit())):
             raise InvalidStateError(f"bad state {part!r}; expected neuron=atom or neuron=silent")
         graph.neuron(name)
         try:
             point = None if value == "silent" else int(value)
-        except ValueError as exc:
+        except ValueError as exc:  # past the interpreter's digit limit
             raise InvalidStateError(str(exc)) from None
         out.append(brain.NeuronState(name, point))
     return out

@@ -8,13 +8,16 @@ Grammar (keywords are bit-exact; `#` starts a line comment):
                | "letters" IDENT ("," IDENT)* ";" | "axiom" formula ";"
                | "rewrite" term "->" term ";"
     sorts     := IDENT ("," IDENT)*
-    formula   := "true" | "false" | IDENT | IDENT "(" args ")" | term "=" term
+    formula   := "true" | "false" | IDENT | term "=" term
                | "not" "(" formula ")" | "and" "(" formula "," formula ")"
                | "or" "(" formula "," formula ")"
                | "implies" "(" formula "," formula ")"
                | "iff" "(" formula "," formula ")"          # sugar
     term      := IDENT | IDENT "(" term ("," term)* ")"
 
+A letter (an IDENT formula) takes no arguments. The parser still reads
+`IDENT "(" term ("," term)* ")"` as a formula, but only to report it: an
+arity mismatch for a letter, an unknown symbol otherwise.
 `iff(a, b)` desugars to `and(implies(a, b), implies(b, a))` at parse time.
 An axiom or rewrite side may nest at most `MAX_NESTING` levels (`iff` counts
 as two); deeper input is a syntax error rather than a stack overflow later.
@@ -274,15 +277,11 @@ class _TheoryBuilder:
             raise _ResolveError(
                 "unknown-symbol", f"{p.name} is not a declared letter or relation", p.span
             )
-        args = p.args or ()
-        if len(args) != rel.arity:
+        if p.args is not None:
             raise _ResolveError(
-                "arity-mismatch", f"{rel.name} expects {rel.arity} argument(s), got {len(args)}", p.span
+                "arity-mismatch", f"{rel.name} expects 0 argument(s), got {len(p.args)}", p.span
             )
-        terms = tuple(
-            self.resolve_term(arg, expected) for arg, expected in zip(args, rel.argument_sorts)
-        )
-        return Atom(rel, terms)
+        return Atom(rel)
 
     def resolve_equation(self, lhs: _PTerm, rhs: _PTerm) -> Formula:
         if self.fragment is not Fragment.EQ:
@@ -522,8 +521,6 @@ def print_formula(formula: Formula) -> str:
     if isinstance(formula, Bottom):
         return "false"
     if isinstance(formula, Atom):
-        if formula.args:
-            return f"{formula.symbol.name}({', '.join(print_term(a) for a in formula.args)})"
         return formula.symbol.name
     if isinstance(formula, Equation):
         return f"{print_term(formula.lhs)} = {print_term(formula.rhs)}"

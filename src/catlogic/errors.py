@@ -44,15 +44,7 @@ class UnknownSymbolError(CatlogicError):
     pass
 
 
-class ArityMismatchError(CatlogicError):
-    pass
-
-
 class SortMismatchError(CatlogicError):
-    pass
-
-
-class UnboundVariableError(CatlogicError):
     pass
 
 

@@ -1,34 +1,30 @@
-"""Abstract syntax and sort-checking for multi-sorted propositional and
-equational theories.
+"""Abstract syntax and well-formedness diagnostics for propositional and
+multi-sorted equational theories.
 
 All values are immutable; every operation here is a pure function, so terms,
 formulae and theories can be shared freely.
 
 Conventions:
-  * propositional letters are 0-ary relation symbols, so one Theory type
-    serves both fragments;
+  * a relation symbol is a propositional letter and takes no arguments; a
+    PROP theory declares only letters and an EQ theory only sorts and ops,
+    so one Theory type serves both fragments;
   * equational axioms are implicitly universally closed (there is no
     quantifier node);
   * the connective set is exactly top/bottom/not/and/or/implies; `iff`
     builds the biconditional from them, for the DSL and for Lang alike.
 
 `free_vars` and `sort_conflicts` are the variable walks that the parser,
-`diagnose` and `syncat` share.
+`diagnose` and `syncat` share. `diagnose` is the one sort checker: it lists
+every finding instead of raising at the first. `substitute` acts on terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
-from .errors import (
-    ArityMismatchError,
-    Diagnostic,
-    InvalidTheoryError,
-    SortMismatchError,
-    UnboundVariableError,
-)
+from .errors import Diagnostic, InvalidTheoryError, SortMismatchError
 
 
 class Fragment(Enum):
@@ -55,11 +51,6 @@ class FunctionSymbol:
 @dataclass(frozen=True)
 class RelationSymbol:
     name: str
-    argument_sorts: tuple[Sort, ...] = ()
-
-    @property
-    def arity(self) -> int:
-        return len(self.argument_sorts)
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,6 @@ class Bottom:
 @dataclass(frozen=True)
 class Atom:
     symbol: RelationSymbol
-    args: tuple[Term, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,9 +114,6 @@ class Implies:
 
 Formula = Union[Top, Bottom, Atom, Equation, Not, And, Or, Implies]
 
-TOP = Top()
-BOTTOM = Bottom()
-
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -155,7 +142,7 @@ class Theory:
     @property
     def letters(self) -> tuple[str, ...]:
         """Propositional letter names in canonical (sorted) order."""
-        return tuple(sorted(r.name for r in self.relations if r.arity == 0))
+        return tuple(sorted(r.name for r in self.relations))
 
     def function(self, name: str) -> FunctionSymbol:
         for f in self.functions:
@@ -174,7 +161,7 @@ def free_vars(e: Term | Formula) -> frozenset[Variable]:
 def _collect_vars(e: Term | Formula, out: set[Variable]) -> None:
     if isinstance(e, Variable):
         out.add(e)
-    elif isinstance(e, (App, Atom)):
+    elif isinstance(e, App):
         for a in e.args:
             _collect_vars(a, out)
     elif isinstance(e, (Equation, And, Or, Implies)):
@@ -182,7 +169,7 @@ def _collect_vars(e: Term | Formula, out: set[Variable]) -> None:
         _collect_vars(e.rhs, out)
     elif isinstance(e, Not):
         _collect_vars(e.operand, out)
-    elif not isinstance(e, (Top, Bottom)):
+    elif not isinstance(e, (Top, Bottom, Atom)):
         raise TypeError(f"not a term or formula: {e!r}")
 
 
@@ -203,48 +190,8 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
-def sort_of_term(term: Term, context: Iterable[Variable]) -> Sort:
-    """Sort of a well-formed term over the given context.
-
-    Raises UnboundVariableError for variables outside the context and
-    SortMismatchError, naming both sorts in order, for a name bound at two;
-    ArityMismatchError/SortMismatchError when an application is ill-formed.
-    """
-    ctx: dict[str, Variable] = {}
-    for v in sorted(context, key=lambda v: (v.name, v.sort.name)):
-        if ctx.setdefault(v.name, v).sort != v.sort:
-            raise SortMismatchError(f"variable {v.name} bound at sorts {ctx[v.name].sort.name} and {v.sort.name}")
-    return _sort_of(term, ctx)
-
-
-def _sort_of(term: Term, ctx: Mapping[str, Variable]) -> Sort:
-    if isinstance(term, Variable):
-        bound = ctx.get(term.name)
-        if bound is None:
-            raise UnboundVariableError(f"variable {term.name} not in context")
-        if bound.sort != term.sort:
-            raise SortMismatchError(
-                f"variable {term.name} used at sort {term.sort.name}, bound at {bound.sort.name}"
-            )
-        return term.sort
-    if isinstance(term, App):
-        sym = term.symbol
-        if len(term.args) != sym.arity:
-            raise ArityMismatchError(
-                f"{sym.name} expects {sym.arity} argument(s), got {len(term.args)}"
-            )
-        for i, (arg, want) in enumerate(zip(term.args, sym.domain)):
-            got = _sort_of(arg, ctx)
-            if got != want:
-                raise SortMismatchError(
-                    f"argument {i + 1} of {sym.name} has sort {got.name}, expected {want.name}"
-                )
-        return sym.codomain
-    raise TypeError(f"not a term: {term!r}")
-
-
-def substitute(e, mapping: Mapping[Variable, Term]):
-    """Simultaneous, capture-free substitution on a term or formula.
+def substitute(term: Term, mapping: Mapping[Variable, Term]) -> Term:
+    """Simultaneous substitution of terms for variables in a term.
 
     Variables outside the mapping are unchanged. The mapping must be
     sort-respecting on the variables it actually hits.
@@ -254,7 +201,7 @@ def substitute(e, mapping: Mapping[Variable, Term]):
             raise SortMismatchError(
                 f"substituting a {_term_sort_shallow(repl).name}-term for {var.name}:{var.sort.name}"
             )
-    return _subst(e, mapping)
+    return _subst(term, mapping)
 
 
 def _term_sort_shallow(term: Term) -> Sort:
@@ -262,22 +209,12 @@ def _term_sort_shallow(term: Term) -> Sort:
     return term.sort if isinstance(term, Variable) else term.symbol.codomain
 
 
-def _subst(e, mapping):
-    if isinstance(e, Variable):
-        return mapping.get(e, e)
-    if isinstance(e, App):
-        return App(e.symbol, tuple(_subst(a, mapping) for a in e.args))
-    if isinstance(e, (Top, Bottom)):
-        return e
-    if isinstance(e, Atom):
-        return Atom(e.symbol, tuple(_subst(a, mapping) for a in e.args))
-    if isinstance(e, Equation):
-        return Equation(_subst(e.lhs, mapping), _subst(e.rhs, mapping))
-    if isinstance(e, Not):
-        return Not(_subst(e.operand, mapping))
-    if isinstance(e, (And, Or, Implies)):
-        return type(e)(_subst(e.lhs, mapping), _subst(e.rhs, mapping))
-    raise TypeError(f"not a term or formula: {e!r}")
+def _subst(term: Term, mapping) -> Term:
+    if isinstance(term, Variable):
+        return mapping.get(term, term)
+    if isinstance(term, App):
+        return App(term.symbol, tuple(_subst(a, mapping) for a in term.args))
+    raise TypeError(f"not a term: {term!r}")
 
 
 def diagnose(theory: Theory) -> list[Diagnostic]:
@@ -304,22 +241,12 @@ def diagnose(theory: Theory) -> list[Diagnostic]:
         if r.name in seen:
             out.append(Diagnostic("duplicate-name", f"relation {r.name} declared twice", f"rel {r.name}"))
         seen.add(r.name)
-        for s in r.argument_sorts:
-            if s not in theory.sorts:
-                out.append(
-                    Diagnostic("unknown-symbol", f"relation {r.name} uses undeclared sort {s.name}", f"rel {r.name}")
-                )
 
     if theory.fragment is Fragment.PROP:
         if theory.sorts:
             out.append(Diagnostic("fragment-violation", "PROP theory declares sorts", "sorts"))
         if theory.functions:
             out.append(Diagnostic("fragment-violation", "PROP theory declares function symbols", "ops"))
-        for r in theory.relations:
-            if r.arity != 0:
-                out.append(
-                    Diagnostic("fragment-violation", f"letter {r.name} has arity {r.arity}", f"rel {r.name}")
-                )
         if theory.rewrites:
             out.append(Diagnostic("fragment-violation", "PROP theory declares rewrite rules", "rewrites"))
     else:
@@ -351,21 +278,6 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
     if isinstance(formula, Atom):
         if formula.symbol not in theory.relations:
             out.append(Diagnostic("unknown-symbol", f"undeclared relation {formula.symbol.name}", path, span))
-            return out
-        if len(formula.args) != formula.symbol.arity:
-            out.append(
-                Diagnostic(
-                    "arity-mismatch",
-                    f"{formula.symbol.name} expects {formula.symbol.arity} argument(s), got {len(formula.args)}",
-                    path,
-                    span,
-                )
-            )
-            return out
-        if formula.args:
-            out.extend(_conflict_diagnostics(formula, path=path, span=span))
-        for j, (arg, want) in enumerate(zip(formula.args, formula.symbol.argument_sorts)):
-            out.extend(_diagnose_term(theory, arg, want, f"{path}/arg[{j}]", span))
         return out
     if isinstance(formula, Equation):
         out.extend(_conflict_diagnostics(formula, path=path, span=span))
@@ -389,7 +301,7 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
 
 
 def _conflict_diagnostics(*parts, path, span) -> list[Diagnostic]:
-    # a variable has one sort across an atom, an equation or a rewrite rule
+    # a variable has one sort across an equation or a rewrite rule
     return [
         Diagnostic("sort-mismatch", f"variable {name} used at two different sorts", path, span)
         for name in sort_conflicts(*parts)

@@ -32,7 +32,6 @@ from . import _core
 from .boolalg import TruthAssignment, eval_formula, satisfying_assignments
 from .errors import CapacityExceededError, SignatureMismatchError
 from .kernel import (
-    App,
     Equation,
     Fragment,
     FunctionSymbol,

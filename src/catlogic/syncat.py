@@ -258,10 +258,9 @@ def normalize(theory: Theory, term: Term) -> Term:
 
 @dataclass(frozen=True)
 class Context:
-    """Variable context (Gamma, Phi); Phi stays empty in the EQ fragment."""
+    """Variable context Gamma: distinct variables, each at its sort."""
 
     variables: tuple[Variable, ...]
-    assumptions: tuple = ()
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.variables]

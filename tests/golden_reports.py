@@ -16,6 +16,8 @@ import io
 import os
 import pathlib
 
+from catlogic.cli import main
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -81,8 +83,6 @@ def row_id(argv: tuple[str, ...]) -> str:
 
 def render(argv: tuple[str, ...]) -> str:
     """Run one row through cli.main in-process and format what it produced."""
-    from catlogic.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)

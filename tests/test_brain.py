@@ -288,6 +288,11 @@ class TestPropagate:
         with pytest.raises(InvalidStateError):
             propagate(solo, [NeuronState("n1", 0)], -1)
 
+    def test_a_neuron_given_twice_is_rejected(self, solo):
+        # one state per neuron: a second one is refused, not kept over the first
+        with pytest.raises(InvalidStateError, match="n1: state given twice"):
+            propagate(solo, [NeuronState("n1", 0), NeuronState("n1", 0)], 1)
+
     def test_steps_bounded(self, solo):
         assert len(propagate(solo, [NeuronState("n1", 0)], MAX_STEPS).steps) == MAX_STEPS
         with pytest.raises(CapacityExceededError, match=f"exceed the bound {MAX_STEPS}"):

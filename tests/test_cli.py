@@ -101,6 +101,18 @@ BAD_INPUT_ROWS = (
         for sub in ("check", "run", "export")
     ]
     + [
+        # an initial state is `silent` or ASCII digits, as in a brain file,
+        # and one per neuron
+        *(
+            (f"brain-run-init-{kind}", ("brain", "run", BRAIN_TWO, "--init", spec), f"bad state {spec!r}")
+            for kind, spec in [
+                ("arabic-indic-digit", "n1=٣"),
+                ("underscore", "n1=1_0"),
+                ("plus-sign", "n1=+1"),
+                ("leading-space", "n1= 1"),
+            ]
+        ),
+        ("brain-run-init-neuron-twice", ("brain", "run", BRAIN_TWO, "--init", "n1=0,n1=1"), "n1: state given twice"),
         ("syn-samples-negative", ("syn", PROPS, "XOR_PAIR", "--samples", "-5"), "samples -5 is negative"),
         ("syn-depth-negative", ("syn", GROUP, "GROUP", "--depth", "-1"), "depth -1 is negative"),
         ("adjoint-atoms-negative", ("adjoint", PROPS, "XOR_PAIR", "--atoms", "-3"), "atoms -3 is negative"),

@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from catlogic.errors import (
-    ArityMismatchError,
-    InvalidTheoryError,
-    SortMismatchError,
-    UnboundVariableError,
-)
+from catlogic.errors import InvalidTheoryError, SortMismatchError
 from catlogic.kernel import (
+    And,
     App,
     Atom,
     Equation,
@@ -16,6 +12,7 @@ from catlogic.kernel import (
     FunctionSymbol,
     Implies,
     Not,
+    Or,
     RelationSymbol,
     RewriteRule,
     Sort,
@@ -26,7 +23,6 @@ from catlogic.kernel import (
     diagnose,
     free_vars,
     sort_conflicts,
-    sort_of_term,
     substitute,
 )
 
@@ -49,41 +45,6 @@ def inv(a):
 
 
 u = App(U)
-
-
-class TestSortOfTerm:
-    def test_variable(self):
-        assert sort_of_term(x, [x]) == X
-
-    def test_group_term(self):
-        assert sort_of_term(mul(x, inv(y)), [x, y]) == X
-
-    def test_arity_violation(self):
-        with pytest.raises(ArityMismatchError):
-            sort_of_term(App(MUL, (x,)), [x])
-
-    def test_unbound(self):
-        with pytest.raises(UnboundVariableError):
-            sort_of_term(mul(x, y), [x])
-
-    def test_wrong_argument_sort(self):
-        other = Sort("Y")
-        w = Variable("w", other)
-        with pytest.raises(SortMismatchError):
-            sort_of_term(mul(x, w), [x, w])
-
-    def test_context_with_a_name_at_two_sorts_is_rejected_in_one_way(self):
-        # the message names the variable and both sorts in sorted order,
-        # whatever the order (or hash order) of the context
-        A, B = Sort("A"), Sort("B")
-        xa, xb = Variable("x", A), Variable("x", B)
-        ax = Equation(App(FunctionSymbol("f", (A, B), A), (xa, xb)), xa)
-        messages = set()
-        for context in (free_vars(ax), [xa, xb], [xb, xa]):
-            with pytest.raises(SortMismatchError) as err:
-                sort_of_term(ax.lhs, context)
-            messages.add(str(err.value))
-        assert messages == {"variable x bound at sorts A and B"}
 
 
 class TestSubstitute:
@@ -171,10 +132,10 @@ class TestFreeVars:
         assert free_vars(mul(x, mul(y, z))) == {x, y, z}
 
     def test_formulas(self):
-        p, r = RelationSymbol("p"), RelationSymbol("r", (X, X))
+        p = RelationSymbol("p")
         assert free_vars(Top()) == frozenset()
         assert free_vars(Atom(p)) == frozenset()
-        assert free_vars(Not(Atom(r, (x, inv(y))))) == {x, y}
+        assert free_vars(Not(Equation(x, inv(y)))) == {x, y}
         assert free_vars(Implies(Atom(p), Equation(mul(z, u), x))) == {x, z}
 
     def test_rejects_a_non_node(self):
@@ -302,8 +263,144 @@ class TestCheckWellFormed:
             ("sort-mismatch", "variable y used at two different sorts", "rewrite[0]"),
         ]
 
-    def test_accepts_exactly_sortable_terms(self, group_theory):
-        # every axiom side sort-checks over its free variables
-        for ax in group_theory.axioms:
-            ctx = free_vars(ax)
-            assert sort_of_term(ax.lhs, ctx) == sort_of_term(ax.rhs, ctx)
+
+A, B = Sort("A"), Sort("B")
+a, b = Variable("a", A), Variable("b", B)
+p, q = RelationSymbol("p"), RelationSymbol("q")
+F_AB = FunctionSymbol("f", (A, B), A)
+G_A = FunctionSymbol("g", (A,), A)
+K_B = FunctionSymbol("k", (), B)
+
+
+def _eq(**parts):
+    return Theory(name="T", fragment=Fragment.EQ, **parts)
+
+
+def _prop(**parts):
+    return Theory(name="T", fragment=Fragment.PROP, **parts)
+
+
+# (id, theory, every finding as (code, message, path)); hand-built, so the
+# branches the DSL never reaches are pinned too
+DIAGNOSE_ROWS = [
+    ("sort-twice", _eq(sorts=(X, X)), [("duplicate-name", "sort X declared twice", "sort X")]),
+    ("op-twice", _eq(sorts=(X,), functions=(U, U)), [("duplicate-name", "op u declared twice", "op u")]),
+    (
+        "op-undeclared-sort",
+        _eq(sorts=(A,), functions=(F_AB,)),
+        [("unknown-symbol", "op f uses undeclared sort B", "op f")],
+    ),
+    ("relation-twice", _prop(relations=(p, p)), [("duplicate-name", "relation p declared twice", "rel p")]),
+    (
+        "prop-sorts-and-ops",
+        _prop(sorts=(X,), functions=(U,)),
+        [
+            ("fragment-violation", "PROP theory declares sorts", "sorts"),
+            ("fragment-violation", "PROP theory declares function symbols", "ops"),
+        ],
+    ),
+    (
+        "prop-rewrites",
+        _prop(rewrites=(RewriteRule(x, x),)),
+        [
+            ("fragment-violation", "PROP theory declares rewrite rules", "rewrites"),
+            ("unknown-symbol", "variable x has undeclared sort", "rewrite[0]/lhs"),
+            ("unknown-symbol", "variable x has undeclared sort", "rewrite[0]/rhs"),
+        ],
+    ),
+    ("eq-relations", _eq(relations=(p,)), [("fragment-violation", "EQ theory declares relation symbols", "rels")]),
+    (
+        "equation-in-prop",
+        _prop(relations=(p,), axioms=(Or(Atom(p), Not(Equation(x, x))),)),
+        [("fragment-violation", "equation in a PROP theory", "axiom[0]/or[1]/not")],
+    ),
+    ("eq-not-bare", _eq(sorts=(X,), axioms=(Top(),)), [("fragment-violation", "EQ axioms must be bare equations", "axiom[0]")]),
+    (
+        "undeclared-relation",
+        _prop(relations=(p,), axioms=(And(Atom(p), Atom(q)),)),
+        [("unknown-symbol", "undeclared relation q", "axiom[0]/and[1]")],
+    ),
+    (
+        "unrecognized-formula",
+        _prop(axioms=(Implies(Top(), "r"),)),
+        [("unknown-symbol", "unrecognized formula node 'r'", "axiom[0]/implies[1]")],
+    ),
+    (
+        "equation-sides",
+        _eq(sorts=(A, B), axioms=(Equation(a, b),)),
+        [("sort-mismatch", "equation sides have sorts A and B", "axiom[0]")],
+    ),
+    (
+        "equation-variable-at-two-sorts",
+        _eq(sorts=(A, B), functions=(F_AB,), axioms=(Equation(App(F_AB, (a, Variable("a", B))), a),)),
+        [("sort-mismatch", "variable a used at two different sorts", "axiom[0]")],
+    ),
+    (
+        "variable-undeclared-sort",
+        _eq(sorts=(A,), axioms=(Equation(a, Variable("w", X)),)),
+        [("unknown-symbol", "variable w has undeclared sort", "axiom[0]/rhs")],
+    ),
+    (
+        "argument-sort",
+        _eq(sorts=(A, B), functions=(G_A,), axioms=(Equation(App(G_A, (b,)), a),)),
+        [("sort-mismatch", "b has sort B, expected A", "axiom[0]/lhs/arg[0]")],
+    ),
+    ("undeclared-op", _eq(sorts=(X,), axioms=(Equation(u, x),)), [("unknown-symbol", "undeclared op u", "axiom[0]/lhs")]),
+    (
+        "op-arity",
+        _eq(sorts=(X,), functions=(MUL,), axioms=(Equation(x, App(MUL, (x,))),)),
+        [("arity-mismatch", "mul expects 2 argument(s), got 1", "axiom[0]/rhs")],
+    ),
+    (
+        "op-result-sort",
+        _eq(sorts=(A, B), functions=(G_A, K_B), axioms=(Equation(App(G_A, (App(K_B),)), a),)),
+        [("sort-mismatch", "k returns B, expected A", "axiom[0]/lhs/arg[0]")],
+    ),
+    (
+        "unrecognized-term",
+        _eq(sorts=(X,), axioms=(Equation(Top(), x),)),
+        [("unknown-symbol", "unrecognized term node Top()", "axiom[0]/lhs")],
+    ),
+    (
+        "rewrite-variable-at-two-sorts",
+        _eq(sorts=(A, B), functions=(F_AB,), rewrites=(RewriteRule(App(F_AB, (a, Variable("a", B))), a),)),
+        [("sort-mismatch", "variable a used at two different sorts", "rewrite[0]")],
+    ),
+    (
+        "rewrite-undeclared-op",
+        _eq(sorts=(X,), functions=(INV,), rewrites=(RewriteRule(inv(x), mul(x, x)),)),
+        [("unknown-symbol", "undeclared op mul", "rewrite[0]/rhs")],
+    ),
+    (
+        "rewrite-introduces-variables",
+        _eq(sorts=(X,), functions=(INV,), rewrites=(RewriteRule(inv(x), inv(inv(z))), RewriteRule(x, y))),
+        [
+            ("unknown-symbol", "rewrite rhs introduces variables: z", "rewrite[0]"),
+            ("unknown-symbol", "rewrite rhs introduces variables: y", "rewrite[1]"),
+        ],
+    ),
+    (
+        "rewrite-sides",
+        _eq(sorts=(A, B), functions=(K_B,), rewrites=(RewriteRule(App(K_B), App(K_B)), RewriteRule(a, App(K_B)))),
+        [("sort-mismatch", "rewrite sides have sorts A and B", "rewrite[1]")],
+    ),
+]
+
+
+@pytest.mark.parametrize("theory, expected", [pytest.param(t, e, id=i) for i, t, e in DIAGNOSE_ROWS])
+def test_every_diagnose_finding(theory, expected):
+    assert [(d.code, d.message, d.path) for d in diagnose(theory)] == expected
+
+
+class TestLettersAreZeroAry:
+    def test_a_relation_symbol_has_no_argument_sorts(self):
+        with pytest.raises(TypeError):
+            RelationSymbol("r", (X,))
+
+    def test_an_atom_has_no_arguments(self):
+        with pytest.raises(TypeError):
+            Atom(RelationSymbol("p"), (x,))
+
+    def test_substitute_takes_a_term(self):
+        with pytest.raises(TypeError, match="not a term"):
+            substitute(Not(Equation(x, x)), {})
