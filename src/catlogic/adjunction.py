@@ -18,10 +18,14 @@ naturality triples by index (its docstring gives the order). Each naturality
 square's t . f and syn(t) . transpose(f) depend on (t, f) alone, so the check
 builds them once per (t, f) and reuses them for every (B', b); the squares,
 their order and the transpose_fn calls are those of a check without reuse.
-lang keeps at most CACHE_SIZE diagram theories, keyed by algebra. syn is the
-Lindenbaum algebra, which boolalg keeps in the theory's memo (kernel.Theory),
-and lang(B)'s memo keeps canonical_iso(B) and its inverse, so each is built
-once per theory.
+lang keeps at most CACHE_SIZE diagram theories in an lru_cache keyed by
+algebra value. syn is the Lindenbaum algebra, which boolalg keeps in the
+theory's memo (kernel.Theory). Each algebra object's own memo
+(FiniteBooleanAlgebra._memo) keeps lang(B), canonical_iso(B) and its
+inverse, built on the first canonical_iso(B); canonical_iso, transpose and
+untranspose read that memo, so a warm algebra is never hashed. The aux
+algebras of the naturality check are module constants, so their memos
+outlive one check.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ DEFAULT_SEED = 20_260_809
 NATURALITY_EXHAUSTIVE_LIMIT = 10_000
 NATURALITY_SAMPLES = 500
 AUX_THEORY = Theory(name="AUX", fragment=Fragment.PROP)  # the aux target T' of naturality
+AUX_ALGEBRAS = (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))  # the aux sources B' of naturality
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -97,16 +102,19 @@ def syn(theory: Theory) -> FiniteBooleanAlgebra:
 
 
 def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
-    """The verified isomorphism B -> Syn(Lang(B)), kept in lang(B)'s memo.
+    """The verified isomorphism B -> Syn(Lang(B)), kept in B's memo.
 
     Each satisfying assignment of the diagram theory is a Boolean
     homomorphism B -> 2, i.e. a principal ultrafilter; its generating atom is
-    the meet of the elements it sends to true.
+    the meet of the elements it sends to true. The first call on an algebra
+    object also keeps lang(B) and the iso's inverse in its memo, so each is
+    built once per object.
     """
-    memo = lang(B)._memo
+    memo = B._memo
     if "iso" in memo:
         return memo["iso"]
-    L = syn(lang(B))
+    langB = lang(B)
+    L = syn(langB)
     atom_map = []
     for assignment in L.atom_labels:
         acc = B.top
@@ -119,7 +127,7 @@ def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     iso = BoolHom(B, L, tuple(atom_map))
     assert iso.is_isomorphism, "Syn(Lang(B)) has the wrong atom count"
     assert verify_hom(iso), "canonical comparison map is not a homomorphism"
-    memo["iso"] = iso
+    memo.update(lang=langB, iso=iso, iso_inverse=iso.inverse())
     return iso
 
 
@@ -150,20 +158,23 @@ def theory_morphisms(t1: Theory, t2: Theory) -> list[TheoryMorphism]:
 def lang_hom(h: BoolHom) -> TheoryMorphism:
     """Lang on homs (covariant): conjugate by the canonical isomorphisms,
     i.e. untranspose canonical_iso(h.target) . h."""
-    return untranspose(h.source, lang(h.target), canonical_iso(h.target).compose(h))
+    iso = canonical_iso(h.target)
+    return untranspose(h.source, h.target._memo["lang"], iso.compose(h))
 
 
 def transpose(B: FiniteBooleanAlgebra, f: TheoryMorphism) -> BoolHom:
     """Move f: Lang(B) -> T across the bijection to a hom B -> Syn(T)."""
-    return f.hom.compose(canonical_iso(B))
+    memo = B._memo
+    iso = memo["iso"] if "iso" in memo else canonical_iso(B)
+    return f.hom.compose(iso)
 
 
 def untranspose(B: FiniteBooleanAlgebra, T: Theory, g: BoolHom) -> TheoryMorphism:
     """Inverse transposition: a hom B -> Syn(T) as a morphism Lang(B) -> T."""
-    memo = lang(B)._memo
-    if "iso_inverse" not in memo:
-        memo["iso_inverse"] = canonical_iso(B).inverse()
-    return TheoryMorphism(lang(B), T, g.compose(memo["iso_inverse"]))
+    memo = B._memo
+    if "iso" not in memo:
+        canonical_iso(B)
+    return TheoryMorphism(memo["lang"], T, g.compose(memo["iso_inverse"]))
 
 
 def enumerate_homs_by_blocks(
@@ -277,11 +288,12 @@ def check_adjunction(
     """
     if transpose_fn is None:
         transpose_fn = transpose
-    langB = lang(B)
+    synL = canonical_iso(B).target
+    langB = B._memo["lang"]
     synT = syn(T)
     counterexamples: list[dict] = []
 
-    left = [TheoryMorphism(langB, T, h) for h in enumerate_homs(canonical_iso(B).target, synT)]
+    left = [TheoryMorphism(langB, T, h) for h in enumerate_homs(synL, synT)]
     right = enumerate_homs_by_blocks(B, synT)
     expected = B.atom_count ** synT.atom_count
     transposed = [transpose_fn(B, f) for f in left]
@@ -326,8 +338,7 @@ def check_adjunction(
     # Keeping T as its own aux target is affordable only while its endo-hom
     # set is small.
     aux_theories = [T, AUX_THEORY] if synT.atom_count <= 2 else [AUX_THEORY]
-    aux_algebras = (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
-    bs = [(Bp, b, lang_hom(b)) for Bp in aux_algebras for b in enumerate_homs(Bp, B)]
+    bs = [(Bp, b, lang_hom(b)) for Bp in AUX_ALGEBRAS for b in enumerate_homs(Bp, B)]
     ts = [TheoryMorphism(T, Tp, h) for Tp in aux_theories for h in enumerate_homs(synT, syn(Tp))]
     total = len(bs) * len(ts) * len(left)
     indices = range(total)

@@ -17,7 +17,7 @@ functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -73,6 +73,9 @@ class FiniteBooleanAlgebra:
 
     atom_count: int
     atom_labels: tuple = None  # type: ignore[assignment]
+    # facts derived from this object (adjunction keeps lang(B), the canonical
+    # iso and its inverse here); outside init, ==, hash and repr
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.atom_count < 0:
@@ -196,8 +199,8 @@ class BoolHom:
         )
 
     def inverse(self) -> "BoolHom":
-        """The inverse isomorphism, built afresh on every call (the canonical
-        isos of adjunction keep theirs in the diagram theory's memo)."""
+        """The inverse isomorphism, built afresh on every call (adjunction
+        keeps each canonical iso's inverse in its algebra's memo)."""
         if not self.is_isomorphism:
             raise ValueError("hom is not an isomorphism")
         inv = [0] * len(self.atom_map)
@@ -227,23 +230,39 @@ def verify_hom(h: BoolHom) -> bool:
     return True
 
 
+# (m, k, hom_image_table, check_hom_table) of every shape whose whole atom-map
+# family has passed verify_hom; shapes only, never hom lists
+_VERIFIED_SHAPES: set[tuple] = set()
+
+
 def enumerate_homs(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> list[BoolHom]:
     """All homomorphisms B -> C, in lexicographic atom-map order.
 
     There are |atoms(B)| ** |atoms(C)| of them; in particular none when B is
-    degenerate and C is not. Every returned hom passes verify_hom. Each atom
-    map is in range by construction, so the homs are built unchecked.
+    degenerate and C is not. Each atom map is in range by construction, so
+    the homs are built unchecked. verify_hom reads only (atom map, m, k),
+    through the two backend hom kernels, so whether every map of a shape
+    passes is a fact of (m, k) and the kernel pair: the first call per shape
+    and pair verifies every map, raising AssertionError at the first
+    failure, and later calls build the same homs without re-verifying. A
+    shape past HOM_BOUND is rejected before it is recorded.
     """
     m, k = B.atom_count, C.atom_count
     count = m**k
     if count > HOM_BOUND:
         raise CapacityExceededError(f"{count} homs exceed the bound {HOM_BOUND}")
+    trusted = BoolHom._trusted
+    maps = product(range(m), repeat=k)
+    shape = (m, k, _core.hom_image_table, _core.check_hom_table)
+    if shape in _VERIFIED_SHAPES:
+        return [trusted(B, C, atom_map) for atom_map in maps]
     out = []
-    for atom_map in product(range(m), repeat=k):
-        h = BoolHom._trusted(B, C, atom_map)
-        if not verify_hom(h):  # pragma: no cover - defensive; holds by construction
+    for atom_map in maps:
+        h = trusted(B, C, atom_map)
+        if not verify_hom(h):
             raise AssertionError(f"enumerated hom failed preservation: {atom_map}")
         out.append(h)
+    _VERIFIED_SHAPES.add(shape)
     return out
 
 

@@ -301,10 +301,15 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
 
 
 def _conflict_diagnostics(*parts, path, span) -> list[Diagnostic]:
-    # a variable has one sort across an equation or a rewrite rule
+    # a variable has one sort across an equation or a rewrite rule; the walk
+    # raises on a part holding a non-node, which _diagnose_term reports
+    try:
+        names = sort_conflicts(*parts)
+    except TypeError:
+        return []
     return [
         Diagnostic("sort-mismatch", f"variable {name} used at two different sorts", path, span)
-        for name in sort_conflicts(*parts)
+        for name in names
     ]
 
 

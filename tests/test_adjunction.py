@@ -339,9 +339,10 @@ class TestMemo:
         assert seen == [T]
 
     def test_canonical_iso_and_its_inverse_are_built_once(self, monkeypatch):
-        # an algebra labelled by letters no other test uses, so lang(B) is new
+        # once per algebra object: an equal algebra built apart has its own
         T = _fresh("theory MEMO_ISO prop { letters memo_a, memo_b; axiom or(memo_a, memo_b); }")
         B = syn(T)
+        twin = FiniteBooleanAlgebra(B.atom_count, B.atom_labels)
         inverses = []
         real = BoolHom.inverse
         monkeypatch.setattr(BoolHom, "inverse", lambda h: inverses.append(h) or real(h))
@@ -351,6 +352,21 @@ class TestMemo:
         for g in homs:
             assert transpose(B, untranspose(B, T, g)) == g
         assert len(homs) == 27 and inverses == [iso]
+        twin_iso = canonical_iso(twin)
+        assert twin_iso is not iso and twin_iso == iso
+        assert canonical_iso(twin) is twin_iso
+        assert inverses == [iso, twin_iso]
+        assert B._memo["lang"] is twin._memo["lang"] is lang(B)
+
+    def test_transposition_on_a_warm_algebra_does_not_hash_it(self, xor_pair):
+        # the isos are read off the algebra's memo, not looked up in lang's cache
+        B = FiniteBooleanAlgebra(2)
+        canonical_iso(B)
+        homs = enumerate_homs(B, syn(xor_pair))
+        before = lang.cache_info()
+        for g in homs:
+            assert transpose(B, untranspose(B, xor_pair, g)) == g
+        assert lang.cache_info() == before
 
 
 class TestLangFunctorial:

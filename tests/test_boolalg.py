@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from catlogic import boolalg
 from catlogic.boolalg import (
     BoolHom,
     FiniteBooleanAlgebra,
@@ -223,6 +224,59 @@ class TestHoms:
             gf = g.compose(f)
             for e in A.elements():
                 assert gf(e) == g(f(e))
+
+
+class TestShapeRecord:
+    """enumerate_homs verifies each (m, k, kernel pair) shape once."""
+
+    @staticmethod
+    def _count_verifications(monkeypatch):
+        seen = []
+        real = boolalg.verify_hom
+        monkeypatch.setattr(boolalg, "verify_hom", lambda h: seen.append(h.atom_map) or real(h))
+        monkeypatch.setattr(boolalg, "_VERIFIED_SHAPES", set())
+        return seen
+
+    def test_first_call_verifies_every_map_and_later_calls_none(self, monkeypatch):
+        seen = self._count_verifications(monkeypatch)
+        B, C = FiniteBooleanAlgebra(3), FiniteBooleanAlgebra(4)
+        first = enumerate_homs(B, C)
+        assert seen == [h.atom_map for h in first] and len(seen) == 81
+        seen.clear()
+        # a shape is a fact of (m, k): other algebra objects of it skip too
+        again = enumerate_homs(FiniteBooleanAlgebra(3), FiniteBooleanAlgebra(4, tuple("abcd")))
+        assert seen == []
+        assert [h.atom_map for h in again] == [h.atom_map for h in first]
+        assert again[5].target.atom_labels == tuple("abcd")
+        enumerate_homs(B, FiniteBooleanAlgebra(3))
+        assert len(seen) == 27
+
+    def test_a_failing_kernel_on_a_fresh_shape_still_raises(self, monkeypatch):
+        self._count_verifications(monkeypatch)
+        monkeypatch.setattr(boolalg._core, "check_hom_table", lambda img, m, k: False)
+        B, C = FiniteBooleanAlgebra(2), FiniteBooleanAlgebra(2)
+        for _ in range(2):  # a failed shape is not recorded
+            with pytest.raises(AssertionError, match=r"failed preservation: \(0, 0\)"):
+                enumerate_homs(B, C)
+        assert boolalg._VERIFIED_SHAPES == set()
+
+    def test_swapping_the_kernels_verifies_again(self, monkeypatch):
+        seen = self._count_verifications(monkeypatch)
+        B, C = FiniteBooleanAlgebra(2), FiniteBooleanAlgebra(3)
+        enumerate_homs(B, C)
+        enumerate_homs(B, C)
+        assert len(seen) == 8
+        real = boolalg._core.hom_image_table
+        monkeypatch.setattr(boolalg._core, "hom_image_table", lambda *args: real(*args))
+        enumerate_homs(B, C)
+        enumerate_homs(B, C)
+        assert len(seen) == 16
+
+    def test_a_shape_past_the_bound_is_not_recorded(self, monkeypatch):
+        self._count_verifications(monkeypatch)
+        with pytest.raises(CapacityExceededError):
+            enumerate_homs(FiniteBooleanAlgebra(10), FiniteBooleanAlgebra(10))
+        assert boolalg._VERIFIED_SHAPES == set()
 
 
 class TestEvalFormula:

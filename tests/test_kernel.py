@@ -392,6 +392,24 @@ def test_every_diagnose_finding(theory, expected):
     assert [(d.code, d.message, d.path) for d in diagnose(theory)] == expected
 
 
+def test_diagnose_reports_a_non_node_term_instead_of_raising():
+    # the variable walk behind the sort-conflict check raises on a non-node;
+    # diagnose leaves it to the term check, which reports it
+    bad = _eq(
+        sorts=(X,),
+        functions=(MUL,),
+        axioms=(Equation("t", x), Equation(App(MUL, (x, "t")), x)),
+        rewrites=(RewriteRule(x, "t"),),
+    )
+    assert [(d.code, d.message, d.path) for d in diagnose(bad)] == [
+        ("unknown-symbol", "unrecognized term node 't'", "axiom[0]/lhs"),
+        ("unknown-symbol", "unrecognized term node 't'", "axiom[1]/lhs/arg[1]"),
+        ("unknown-symbol", "unrecognized term node 't'", "rewrite[0]/rhs"),
+    ]
+    with pytest.raises(TypeError, match="not a term or formula"):
+        free_vars(Equation("t", x))
+
+
 class TestLettersAreZeroAry:
     def test_a_relation_symbol_has_no_argument_sorts(self):
         with pytest.raises(TypeError):
