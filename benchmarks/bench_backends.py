@@ -7,16 +7,18 @@ Run from the repository root:
 Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
 search on both group presentations, 200 calls of each table kernel at n=2
-(the per-call set-up), powerset-hom verification, and one
-Lang/Syn adjunction check whose hom enumerations run on the backend's hom
-kernels. Each row prints the best of its runs; the adjunction check also
-prints its first run, which verifies each hom shape for the kernel pair.
+(the per-call set-up), powerset-hom verification, one
+Lang/Syn adjunction check, and the `brain check` audit of an 8-neuron brain;
+the last two run their hom enumerations on the backend's hom kernels. Each
+row prints the best of its runs; the adjunction check also prints its first
+run, which verifies each hom shape for the kernel pair.
 """
 
+import contextlib
 import random
 import time
 
-from catlogic import _core, adjunction
+from catlogic import _core, adjunction, brain
 from catlogic._core import pure
 from catlogic.boolalg import FiniteBooleanAlgebra
 from catlogic.dsl import parse_theory
@@ -37,6 +39,17 @@ GROUP_AXIOMS = [
 # fixtures/group_alt.thy (GROUP_R): associativity, right unit, right inverse
 GROUP_R_AXIOMS = [GROUP_AXIOMS[0], GROUP_AXIOMS[1], GROUP_AXIOMS[3]]
 ADJUNCTION_ROW = "check_adjunction B=3 x Syn T=8"
+
+
+@contextlib.contextmanager
+def hom_kernels(impl):
+    """Route the hom enumerations through `impl`'s kernels for the block."""
+    saved = _core.hom_image_table, _core.check_hom_table
+    _core.hom_image_table, _core.check_hom_table = impl.hom_image_table, impl.check_hom_table
+    try:
+        yield
+    finally:
+        _core.hom_image_table, _core.check_hom_table = saved
 
 
 def bench(fn, *args, repeat=1):
@@ -96,12 +109,8 @@ def workloads():
     free3 = parse_theory("theory FREE3 prop { letters x, y, z; }")
 
     def run_adjunction(impl):
-        saved = _core.hom_image_table, _core.check_hom_table
-        _core.hom_image_table, _core.check_hom_table = impl.hom_image_table, impl.check_hom_table
-        try:
+        with hom_kernels(impl):
             report = adjunction.check_adjunction(FiniteBooleanAlgebra(3), free3)
-        finally:
-            _core.hom_image_table, _core.check_hom_table = saved
         assert report.left_count == 6561 and report.passed
         return report
 
@@ -109,6 +118,19 @@ def workloads():
     # and verifies each hom shape once for the backend's kernel pair, so
     # main prints it on a row of its own
     yield ADJUNCTION_ROW, run_adjunction, 3
+
+    # 64 ordered neuron pairs over 3 distinct algebras
+    net = brain.load_brain(
+        "brain b {" + "".join(f" neuron n{i} atoms={c};" for i, c in enumerate((1, 2, 3, 1, 2, 3, 1, 2))) + " }"
+    )
+
+    def run_audit(impl):
+        with hom_kernels(impl):
+            records = brain.audit_adjunction(net)
+        assert len(records) == 64 and all(r["passed"] for r in records)
+        return records
+
+    yield "audit_adjunction 8 neurons (atoms 1-3)", run_audit, 3
 
 
 def main() -> None:

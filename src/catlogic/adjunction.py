@@ -55,7 +55,7 @@ from .kernel import (
 )
 
 LANG_ATOM_BOUND = 4
-CACHE_SIZE = 128  # lang's diagram theories: every algebra of one brain audit
+CACHE_SIZE = 128  # lang's diagram theories; a brain audit uses at most 5 (0-4 atoms)
 BLOCK_ENUM_BOUND = 2**22
 DEFAULT_SEED = 20_260_809
 NATURALITY_EXHAUSTIVE_LIMIT = 10_000

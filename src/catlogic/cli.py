@@ -390,10 +390,8 @@ def _parse_init(graph, spec: str | None):
         if not name or not (value == "silent" or (value.isascii() and value.isdigit())):
             raise InvalidStateError(f"bad state {part!r}; expected neuron=atom or neuron=silent")
         graph.neuron(name)
-        try:
-            point = None if value == "silent" else int(value)
-        except ValueError as exc:  # past the interpreter's digit limit
-            raise InvalidStateError(str(exc)) from None
+        # refused by length before int(), as a brain file's numbers are
+        point = None if value == "silent" else brain.bounded_atom(value, f"{name}: atom")
         out.append(brain.NeuronState(name, point))
     return out
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+from catlogic import brain
+from catlogic.adjunction import check_adjunction, lang, transpose
 from catlogic.boolalg import BoolHom, FiniteBooleanAlgebra
 from catlogic.brain import (
     MAX_STEPS,
@@ -38,6 +42,20 @@ def pair():
 @pytest.fixture(scope="module")
 def chain():
     return load_brain(fixture_text("brain_chain.brain"))
+
+
+@pytest.fixture(scope="module")
+def mixed8():
+    # 8 neurons over 3 distinct algebras: 64 ordered pairs, 9 distinct ones
+    counts = (1, 2, 3, 1, 2, 3, 1, 2)
+    return load_brain("brain m {" + "".join(f" neuron n{i} atoms={c};" for i, c in enumerate(counts)) + " }")
+
+
+def corrupt(B, f):
+    """transpose with every image atom shifted by one: a deterministic defect."""
+    g = transpose(B, f)
+    amap = tuple((i + 1) % max(g.source.atom_count, 1) for i in g.atom_map)
+    return BoolHom(g.source, g.target, amap) if g.atom_map else g
 
 
 class TestLoad:
@@ -179,17 +197,46 @@ class TestAudit:
         assert all(a["passed"] for a in audits)
 
     def test_broken_transpose_fails_with_counterexample(self, solo):
-        from catlogic.adjunction import transpose
-
-        def corrupt(B, f):
-            g = transpose(B, f)
-            amap = tuple((i + 1) % max(g.source.atom_count, 1) for i in g.atom_map)
-            return BoolHom(g.source, g.target, amap) if g.atom_map else g
-
         audits = audit_adjunction(solo, transpose_fn=corrupt)
         assert not all(a["passed"] for a in audits)
         failing = [a for a in audits if not a["passed"]]
         assert failing[0]["report"].counterexamples
+
+    def test_each_distinct_pair_is_checked_once(self, mixed8, monkeypatch):
+        calls = []
+
+        def counting(B, T, **kwargs):
+            calls.append((B, T))
+            return check_adjunction(B, T, **kwargs)
+
+        monkeypatch.setattr(brain, "check_adjunction", counting)
+        audits = audit_adjunction(mixed8)
+        ids = [n.id for n in mixed8.neurons]
+        pairs = [(a, b) for a in ids for b in ids]
+        assert [(r["algebra_neuron"], r["theory_neuron"]) for r in audits] == pairs
+        assert [r["id"] for r in audits] == [f"adjunction:{a}:{b}" for a, b in pairs]
+        assert all(r["passed"] for r in audits)
+        assert len(calls) == 9
+        # records of equal value pairs share one report
+        assert len({id(r["report"]) for r in audits}) == 9
+        logic = {n.id: n.logic for n in mixed8.neurons}
+        by_pair = {}
+        for r in audits:
+            key = (logic[r["algebra_neuron"]], logic[r["theory_neuron"]])
+            assert by_pair.setdefault(key, r["report"]) is r["report"]
+
+    @pytest.mark.parametrize("transpose_fn", [None, corrupt], ids=["transpose", "corrupt"])
+    def test_reports_equal_a_check_of_every_ordered_pair(self, mixed8, transpose_fn):
+        audits = audit_adjunction(mixed8, transpose_fn=transpose_fn)
+        assert len(audits) == 64
+        for record in audits:
+            a = mixed8.neuron(record["algebra_neuron"]).logic
+            b = mixed8.neuron(record["theory_neuron"]).logic
+            expected = check_adjunction(a, lang(b), transpose_fn=transpose_fn)
+            for f in dataclasses.fields(expected):
+                assert getattr(record["report"], f.name) == getattr(expected, f.name), (record["id"], f.name)
+            assert record["passed"] == expected.passed
+        assert all(r["passed"] for r in audits) == (transpose_fn is None)
 
 
 class TestPropagate:
