@@ -120,9 +120,8 @@ def workloads():
     yield ADJUNCTION_ROW, run_adjunction, 3
 
     # 64 ordered neuron pairs over 3 distinct algebras
-    net = brain.load_brain(
-        "brain b {" + "".join(f" neuron n{i} atoms={c};" for i, c in enumerate((1, 2, 3, 1, 2, 3, 1, 2))) + " }"
-    )
+    counts = (1, 2, 3, 1, 2, 3, 1, 2)
+    net = brain.load_brain("brain b {" + "".join(f" neuron n{i} atoms={c};" for i, c in enumerate(counts)) + " }")
 
     def run_audit(impl):
         with hom_kernels(impl):
