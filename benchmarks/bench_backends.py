@@ -7,18 +7,20 @@ Run from the repository root:
 Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
 search on both group presentations, 200 calls of each table kernel at n=2
-(the per-call set-up), powerset-hom verification, one
-Lang/Syn adjunction check, and the `brain check` audit of an 8-neuron brain;
-the last two run their hom enumerations on the backend's hom kernels. Each
+(the per-call set-up), powerset-hom verification, the Lindenbaum model walk
+of a 16-letter theory, one Lang/Syn adjunction check, and the `brain check`
+audit of an 8-neuron brain; the last two run their hom enumerations on the
+backend's hom kernels (the model walk runs the same Python on both). Each
 row prints the best of its runs; the adjunction check also prints its first
 run, which verifies each hom shape for the kernel pair.
 """
 
 import contextlib
+import dataclasses
 import random
 import time
 
-from catlogic import _core, adjunction, brain
+from catlogic import _core, adjunction, boolalg, brain
 from catlogic._core import pure
 from catlogic.boolalg import FiniteBooleanAlgebra
 from catlogic.dsl import parse_theory
@@ -105,6 +107,23 @@ def workloads():
     yield "search_tables group_r n=4 (pruned)", run_group_r, 1
     yield "hom image+check 16 atoms x20", run_homs, 1
 
+    # p00 <-> p01 <-> ... <-> p15: the walk visits 2**16 assignments and keeps
+    # the 2 where every letter agrees
+    names = [f"p{i:02d}" for i in range(16)]
+    chain = parse_theory(
+        f"theory CHAIN prop {{ letters {', '.join(names)}; "
+        + " ".join(f"axiom iff({a}, {b});" for a, b in zip(names, names[1:]))
+        + " }"
+    )
+
+    def run_lindenbaum(impl):
+        # a copy starts with an empty memo, so each run walks again
+        algebra = boolalg.lindenbaum_algebra(dataclasses.replace(chain)).algebra
+        assert algebra.atom_count == 2, "the iff chain has exactly 2 models"
+        return algebra.atom_labels
+
+    yield "lindenbaum_algebra iff-chain 16 letters", run_lindenbaum, 3
+
     # an axiomless 3-letter theory: Syn T has 8 atoms, so 3**8 homs a side
     free3 = parse_theory("theory FREE3 prop { letters x, y, z; }")
 
@@ -133,20 +152,20 @@ def workloads():
 
 
 def main() -> None:
-    print(f"{'workload':38} {'pure':>10} {'native':>10} {'speedup':>9}")
+    print(f"{'workload':40} {'pure':>10} {'native':>10} {'speedup':>9}")
     for name, work, repeat in workloads():
         first_pure, t_pure, r_pure = bench(work, pure, repeat=repeat)
         if native is None:
-            print(f"{name:38} {t_pure:9.3f}s {'-':>10} {'-':>9}")
+            print(f"{name:40} {t_pure:9.3f}s {'-':>10} {'-':>9}")
             if name == ADJUNCTION_ROW:
-                print(f"{'  first run':38} {first_pure:9.3f}s {'-':>10} {'-':>9}")
+                print(f"{'  first run':40} {first_pure:9.3f}s {'-':>10} {'-':>9}")
             continue
         first_native, t_native, r_native = bench(work, native, repeat=repeat)
         if r_pure is not None and r_native is not None:
             assert r_pure == r_native, f"{name}: backends disagree"
-        print(f"{name:38} {t_pure:9.3f}s {t_native:9.3f}s {t_pure / t_native:8.1f}x")
+        print(f"{name:40} {t_pure:9.3f}s {t_native:9.3f}s {t_pure / t_native:8.1f}x")
         if name == ADJUNCTION_ROW:
-            print(f"{'  first run':38} {first_pure:9.3f}s {first_native:9.3f}s {first_pure / first_native:8.1f}x")
+            print(f"{'  first run':40} {first_pure:9.3f}s {first_native:9.3f}s {first_pure / first_native:8.1f}x")
     if native is None:
         print("\ncompiled kernels not built; only the pure backend was timed")
 

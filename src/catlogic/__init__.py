@@ -14,7 +14,6 @@ from .boolalg import (
     BoolHom,
     FiniteBooleanAlgebra,
     LindenbaumAlgebra,
-    TruthAssignment,
     entails,
     enumerate_homs,
     free_boolean_algebra,
@@ -30,7 +29,6 @@ __all__ = [
     "Fragment",
     "LindenbaumAlgebra",
     "Theory",
-    "TruthAssignment",
     "__version__",
     "check_well_formed",
     "entails",

@@ -38,6 +38,7 @@ from .boolalg import (
     BoolHom,
     FiniteBooleanAlgebra,
     enumerate_homs,
+    letter_values,
     lindenbaum_algebra,
     verify_hom,
 )
@@ -104,7 +105,7 @@ def syn(theory: Theory) -> FiniteBooleanAlgebra:
 def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     """The verified isomorphism B -> Syn(Lang(B)), kept in B's memo.
 
-    Each satisfying assignment of the diagram theory is a Boolean
+    Each model of the diagram theory, decoded by letter_values, is a Boolean
     homomorphism B -> 2, i.e. a principal ultrafilter; its generating atom is
     the meet of the elements it sends to true. The first call on an algebra
     object also keeps lang(B) and the iso's inverse in its memo, so each is
@@ -116,9 +117,9 @@ def canonical_iso(B: FiniteBooleanAlgebra) -> BoolHom:
     langB = lang(B)
     L = syn(langB)
     atom_map = []
-    for assignment in L.atom_labels:
+    for model in L.atom_labels:
         acc = B.top
-        for e, value in enumerate(assignment.values):
+        for e, value in enumerate(letter_values(model, B.element_count)):
             if value:
                 acc &= e
         if not B.is_atom(acc):  # pragma: no cover - diagram axioms force this

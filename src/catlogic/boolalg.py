@@ -8,6 +8,12 @@ construction, and equality of elements is integer equality. Atom order is
 canonical (for Lindenbaum algebras: lexicographic on truth assignments), so
 every enumeration below is deterministic.
 
+A model of a propositional theory on n letters is an int: bit n-1-i holds
+letter i of theory.letters. Read as an n-digit binary numeral, its digits
+are the letters' values in letter order, so counting through range(2**n)
+walks the assignments in lexicographic order and the Lindenbaum atoms keep
+that order. Callers decode a model with letter_values.
+
 Homomorphisms are encoded dually by their atom maps: a hom B -> C is the
 function atoms(C) -> atoms(B) sending each target atom to the unique source
 atom whose image lies above it. Composition of homs composes atom maps
@@ -18,7 +24,7 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator
 
 from . import _core
@@ -41,30 +47,6 @@ from .kernel import (
 
 DEFAULT_ATOM_BOUND = 20
 HOM_BOUND = 1_000_000
-
-
-@dataclass(frozen=True)
-class TruthAssignment:
-    """Total 0/1 valuation of a letter set; letters are kept sorted."""
-
-    letters: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.letters) != len(self.values):
-            raise ValueError("letters and values differ in length")
-
-    def value(self, letter: str) -> int:
-        try:
-            return self.values[self.letters.index(letter)]
-        except ValueError:
-            raise UnknownSymbolError(f"letter {letter} not assigned") from None
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.letters, self.values))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(f"{l}={v}" for l, v in zip(self.letters, self.values)) + ")"
 
 
 @dataclass(frozen=True)
@@ -270,22 +252,38 @@ def enumerate_homs(B: FiniteBooleanAlgebra, C: FiniteBooleanAlgebra) -> list[Boo
 # Lindenbaum algebras
 
 
-def eval_formula(formula: Formula, assignment: TruthAssignment) -> int:
-    """Classical truth value (0/1) of a propositional formula."""
+def letter_shifts(letters: tuple[str, ...]) -> dict[str, int]:
+    """Each letter's bit in a model: letter i of n sits at bit n-1-i."""
+    return {letter: len(letters) - 1 - i for i, letter in enumerate(letters)}
+
+
+def letter_values(model: int, count: int) -> tuple[int, ...]:
+    """The 0/1 value of each of `count` letters in a model, in letter order."""
+    return tuple((model >> shift) & 1 for shift in range(count - 1, -1, -1))
+
+
+def eval_formula(formula: Formula, model: int, shifts: dict[str, int]) -> int:
+    """Classical truth value (0/1) of a propositional formula in a model.
+
+    Letter l is bit shifts[l] of the model (letter_shifts: letter i of n at
+    bit n-1-i); a letter outside shifts raises UnknownSymbolError."""
     if isinstance(formula, Top):
         return 1
     if isinstance(formula, Bottom):
         return 0
     if isinstance(formula, Atom):
-        return assignment.value(formula.symbol.name)
+        try:
+            return (model >> shifts[formula.symbol.name]) & 1
+        except KeyError:
+            raise UnknownSymbolError(f"letter {formula.symbol.name} not assigned") from None
     if isinstance(formula, Not):
-        return 1 - eval_formula(formula.operand, assignment)
+        return 1 - eval_formula(formula.operand, model, shifts)
     if isinstance(formula, And):
-        return eval_formula(formula.lhs, assignment) & eval_formula(formula.rhs, assignment)
+        return eval_formula(formula.lhs, model, shifts) & eval_formula(formula.rhs, model, shifts)
     if isinstance(formula, Or):
-        return eval_formula(formula.lhs, assignment) | eval_formula(formula.rhs, assignment)
+        return eval_formula(formula.lhs, model, shifts) | eval_formula(formula.rhs, model, shifts)
     if isinstance(formula, Implies):
-        return (1 - eval_formula(formula.lhs, assignment)) | eval_formula(formula.rhs, assignment)
+        return (1 - eval_formula(formula.lhs, model, shifts)) | eval_formula(formula.rhs, model, shifts)
     if isinstance(formula, Equation):
         raise FragmentViolationError("equation in a propositional formula")
     raise TypeError(f"not a formula: {formula!r}")
@@ -297,21 +295,21 @@ def _require_prop(theory: Theory) -> Theory:
     return check_well_formed(theory)
 
 
-def _iter_models(theory: Theory) -> Iterator[TruthAssignment]:
+def _iter_models(theory: Theory) -> Iterator[int]:
     _require_prop(theory)
     letters = theory.letters
     if len(letters) > DEFAULT_ATOM_BOUND:
         raise CapacityExceededError(
             f"{len(letters)} letters exceed the assignment bound {DEFAULT_ATOM_BOUND}"
         )
-    for bits in product((0, 1), repeat=len(letters)):
-        assignment = TruthAssignment(letters, bits)
-        if all(eval_formula(ax, assignment) for ax in theory.axioms):
-            yield assignment
+    shifts = letter_shifts(letters)
+    for model in range(1 << len(letters)):
+        if all(eval_formula(ax, model, shifts) for ax in theory.axioms):
+            yield model
 
 
-def satisfying_assignments(theory: Theory) -> list[TruthAssignment]:
-    """The assignments making every axiom true, in lexicographic order."""
+def satisfying_assignments(theory: Theory) -> list[int]:
+    """The models (masks) making every axiom true, in lexicographic order."""
     return list(_iter_models(theory))
 
 
@@ -319,22 +317,23 @@ def satisfying_assignments(theory: Theory) -> list[TruthAssignment]:
 class LindenbaumAlgebra:
     """F(V)/A for a propositional theory: formulae modulo provable equivalence.
 
-    Atoms are the satisfying assignments; the quotient map sends a formula to
-    its truth set, so provably equivalent formulae collapse to the same
-    element and every axiom lands on top. An inconsistent theory yields the
-    one-element algebra.
+    Atoms are the satisfying models, labelled by their masks; the quotient
+    map sends a formula to its truth set, so provably equivalent formulae
+    collapse to the same element and every axiom lands on top. An
+    inconsistent theory yields the one-element algebra.
     """
 
     theory: Theory
     algebra: FiniteBooleanAlgebra
 
     def quotient(self, formula: Formula) -> int:
+        shifts = letter_shifts(self.theory.letters)
         for name in sorted(a.symbol.name for a in _atoms_of(formula)):
-            if name not in self.theory.letters:
+            if name not in shifts:
                 raise UnknownSymbolError(f"letter {name} not in theory {self.theory.name}")
         mask = 0
-        for i, assignment in enumerate(self.algebra.atom_labels):
-            if eval_formula(formula, assignment):
+        for i, model in enumerate(self.algebra.atom_labels):
+            if eval_formula(formula, model, shifts):
                 mask |= 1 << i
         return mask
 
@@ -361,14 +360,12 @@ def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
     """
     memo = theory._memo
     if "lindenbaum" not in memo:
-        models = []
-        for assignment in _iter_models(theory):
-            if len(models) == DEFAULT_ATOM_BOUND:
-                raise CapacityExceededError(
-                    f"{DEFAULT_ATOM_BOUND + 1} or more atoms exceed the bound {DEFAULT_ATOM_BOUND}"
-                )
-            models.append(assignment)
-        memo["lindenbaum"] = FiniteBooleanAlgebra(len(models), tuple(models))
+        models = tuple(islice(_iter_models(theory), DEFAULT_ATOM_BOUND + 1))
+        if len(models) > DEFAULT_ATOM_BOUND:
+            raise CapacityExceededError(
+                f"{DEFAULT_ATOM_BOUND + 1} or more atoms exceed the bound {DEFAULT_ATOM_BOUND}"
+            )
+        memo["lindenbaum"] = FiniteBooleanAlgebra(len(models), models)
     return LindenbaumAlgebra(theory, memo["lindenbaum"])
 
 

@@ -36,6 +36,7 @@ from .errors import (
     InvalidTheoryError,
     SourceSpan,
     TheorySyntaxError,
+    clip,
 )
 from .kernel import Fragment
 
@@ -90,7 +91,7 @@ def _replay(report: dict, echo, replay_id: str) -> int:
     }
     _emit(
         replay_report,
-        [f"replay {replay_id}: {'reproduced' if match else 'not reproduced'}"],
+        [f"replay {clip(replay_id)}: {'reproduced' if match else 'not reproduced'}"],
     )
     return EXIT_FAIL if match else EXIT_PASS
 
@@ -117,9 +118,9 @@ def _theory(args, prop: bool = False):
     data = _read(args.path)
     theory = next((t for t in parse_file(_decode(data)) if t.name == args.theory), None)
     if theory is None:
-        raise ArgumentError(repr(args.theory))
+        raise ArgumentError(repr(clip(args.theory)))
     if prop and theory.fragment is not Fragment.PROP:
-        raise FragmentViolationError(f"theory {args.theory} is not propositional")
+        raise FragmentViolationError(f"theory {clip(args.theory)} is not propositional")
     return theory, _digest(data)
 
 
@@ -184,12 +185,13 @@ def cmd_stone(args, echo) -> int:
         verdict = "fail"
         detail = {"error": str(exc)}
         report["counterexamples"].append({"id": "double-dual", "message": str(exc)})
+    letters = theory.letters
     report["result"] = {
         "theory": theory.name,
-        "letters": list(theory.letters),
+        "letters": list(letters),
         "atoms": alg.atom_count,
         "elements": alg.element_count,
-        "points": [label.as_dict() for label in (alg.atom_labels or ())],
+        "points": [dict(zip(letters, boolalg.letter_values(m, len(letters)))) for m in alg.atom_labels],
         "double_dual": detail,
     }
     report["verdicts"]["double-dual"] = verdict
@@ -388,10 +390,10 @@ def _parse_init(graph, spec: str | None):
         # an atom is ASCII digits only, as in a brain file: int() alone would
         # also read '٣', '1_0', '+1' and ' 1'
         if not name or not (value == "silent" or (value.isascii() and value.isdigit())):
-            raise InvalidStateError(f"bad state {part!r}; expected neuron=atom or neuron=silent")
+            raise InvalidStateError(f"bad state {clip(part)!r}; expected neuron=atom or neuron=silent")
         graph.neuron(name)
         # refused by length before int(), as a brain file's numbers are
-        point = None if value == "silent" else brain.bounded_atom(value, f"{name}: atom")
+        point = None if value == "silent" else brain.bounded_atom(value, f"{clip(name)}: atom")
         out.append(brain.NeuronState(name, point))
     return out
 

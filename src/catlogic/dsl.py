@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import Diagnostic, InvalidTheoryError, SourceSpan, TheorySyntaxError
+from .errors import Diagnostic, InvalidTheoryError, SourceSpan, TheorySyntaxError, clip
 from .kernel import (
     And,
     App,
@@ -149,13 +149,13 @@ class _Lexer:
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise TheorySyntaxError(f"expected {text!r}, found {tok.text!r}", tok.span)
+            raise TheorySyntaxError(f"expected {text!r}, found {clip(tok.text)!r}", tok.span)
         return tok
 
     def expect_ident(self) -> _Token:
         tok = self.next()
         if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise TheorySyntaxError(f"expected an identifier, found {tok.text!r}", tok.span)
+            raise TheorySyntaxError(f"expected an identifier, found {clip(tok.text)!r}", tok.span)
         return tok
 
     def skip_past(self, text: str) -> None:
@@ -268,18 +268,18 @@ class _TheoryBuilder:
     def sort(self, tok: _Token) -> Sort:
         s = self.sorts.get(tok.text)
         if s is None:
-            raise _ResolveError("unknown-symbol", f"undeclared sort {tok.text}", tok.span)
+            raise _ResolveError("unknown-symbol", f"undeclared sort {clip(tok.text)}", tok.span)
         return s
 
     def resolve_atom(self, p: _PTerm) -> Formula:
         rel = self.relations.get(p.name)
         if rel is None:
             raise _ResolveError(
-                "unknown-symbol", f"{p.name} is not a declared letter or relation", p.span
+                "unknown-symbol", f"{clip(p.name)} is not a declared letter or relation", p.span
             )
         if p.args is not None:
             raise _ResolveError(
-                "arity-mismatch", f"{rel.name} expects 0 argument(s), got {len(p.args)}", p.span
+                "arity-mismatch", f"{clip(rel.name)} expects 0 argument(s), got {len(p.args)}", p.span
             )
         return Atom(rel)
 
@@ -306,7 +306,7 @@ class _TheoryBuilder:
         elif l_sort != r_sort:
             raise _ResolveError(
                 "sort-mismatch",
-                f"equation sides have sorts {l_sort.name} and {r_sort.name}",
+                f"equation sides have sorts {clip(l_sort.name)} and {clip(r_sort.name)}",
                 lhs.span,
             )
         return Equation(l, r)
@@ -321,21 +321,23 @@ class _TheoryBuilder:
             args = p.args or ()
             if len(args) != fn.arity:
                 raise _ResolveError(
-                    "arity-mismatch", f"{fn.name} expects {fn.arity} argument(s), got {len(args)}", p.span
+                    "arity-mismatch",
+                    f"{clip(fn.name)} expects {fn.arity} argument(s), got {len(args)}",
+                    p.span,
                 )
             terms = tuple(self.resolve_term(a, s) for a, s in zip(args, fn.domain))
             if expected is not None and fn.codomain != expected:
                 raise _ResolveError(
                     "sort-mismatch",
-                    f"{fn.name} returns {fn.codomain.name}, expected {expected.name}",
+                    f"{clip(fn.name)} returns {clip(fn.codomain.name)}, expected {clip(expected.name)}",
                     p.span,
                 )
             return App(fn, terms)
         if p.args is not None:
-            raise _ResolveError("unknown-symbol", f"{p.name} is not a declared op", p.span)
+            raise _ResolveError("unknown-symbol", f"{clip(p.name)} is not a declared op", p.span)
         if fn is not None:
             raise _ResolveError(
-                "unknown-symbol", f"{p.name} is an op of arity {fn.arity}, not a variable", p.span
+                "unknown-symbol", f"{clip(p.name)} is an op of arity {fn.arity}, not a variable", p.span
             )
         # a variable; sort comes from the position, or stays open for a later pass
         if expected is None:
@@ -360,7 +362,7 @@ class _TheoryBuilder:
         conflicts = sort_conflicts(formula)
         if conflicts:
             raise _ResolveError(
-                "sort-mismatch", f"variable {conflicts[0]} used at two different sorts", span
+                "sort-mismatch", f"variable {clip(conflicts[0])} used at two different sorts", span
             )
         self.axioms.append(formula)
         self.axiom_spans.append(span)
@@ -402,7 +404,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
             ident = lx.expect_ident()
             if ident.text in th.sorts:
                 th.diagnostics.append(
-                    Diagnostic("duplicate-name", f"sort {ident.text} declared twice", span=ident.span)
+                    Diagnostic("duplicate-name", f"sort {clip(ident.text)} declared twice", span=ident.span)
                 )
             else:
                 th.sorts[ident.text] = Sort(ident.text)
@@ -423,7 +425,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                 cod_tok = lx.expect_ident()
                 if ident.text in th.functions:
                     th.diagnostics.append(
-                        Diagnostic("duplicate-name", f"op {ident.text} declared twice", span=ident.span)
+                        Diagnostic("duplicate-name", f"op {clip(ident.text)} declared twice", span=ident.span)
                     )
                 else:
                     th.functions[ident.text] = FunctionSymbol(
@@ -439,7 +441,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                 if ident.text in th.relations:
                     th.diagnostics.append(
                         Diagnostic(
-                            "duplicate-name", f"letter {ident.text} declared twice", span=ident.span
+                            "duplicate-name", f"letter {clip(ident.text)} declared twice", span=ident.span
                         )
                     )
                 else:
@@ -468,7 +470,7 @@ def _parse_theory_block(lx: _Lexer) -> Theory:
                 th.diagnostics.append(err.diagnostic)
                 lx.skip_past(";")
         else:
-            raise TheorySyntaxError(f"expected a declaration, found {tok.text!r}", tok.span)
+            raise TheorySyntaxError(f"expected a declaration, found {clip(tok.text)!r}", tok.span)
     lx.expect("}")
     return th.finish()
 
@@ -481,10 +483,10 @@ def parse_file(text: str) -> list[Theory]:
     while lx.peek().kind != "eof":
         start = lx.peek()
         if start.text != "theory":
-            raise TheorySyntaxError(f"expected 'theory', found {start.text!r}", start.span)
+            raise TheorySyntaxError(f"expected 'theory', found {clip(start.text)!r}", start.span)
         t = _parse_theory_block(lx)
         if t.name in names:
-            raise TheorySyntaxError(f"theory {t.name} defined twice", start.span)
+            raise TheorySyntaxError(f"theory {clip(t.name)} defined twice", start.span)
         names.add(t.name)
         theories.append(t)
     if not theories:

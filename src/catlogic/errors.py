@@ -4,6 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+CLIP_CHARS = 40
+
+
+def clip(text: str) -> str:
+    """Input text as a message quotes it: at most CLIP_CHARS characters, then
+    an ellipsis, so a long token, name or argument cannot grow the line."""
+    return text if len(text) <= CLIP_CHARS else text[:CLIP_CHARS] + "\u2026"
+
 
 @dataclass(frozen=True)
 class SourceSpan:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
 
-from .errors import Diagnostic, InvalidTheoryError, SortMismatchError
+from .errors import Diagnostic, InvalidTheoryError, SortMismatchError, clip
 
 
 class Fragment(Enum):
@@ -287,7 +287,12 @@ def _diagnose_formula(theory, formula, path, span, top_level=False) -> list[Diag
             ls, rs = _term_sort_shallow(formula.lhs), _term_sort_shallow(formula.rhs)
             if ls != rs:
                 out.append(
-                    Diagnostic("sort-mismatch", f"equation sides have sorts {ls.name} and {rs.name}", path, span)
+                    Diagnostic(
+                        "sort-mismatch",
+                        f"equation sides have sorts {clip(ls.name)} and {clip(rs.name)}",
+                        path,
+                        span,
+                    )
                 )
         return out
     if isinstance(formula, Not):
@@ -308,7 +313,7 @@ def _conflict_diagnostics(*parts, path, span) -> list[Diagnostic]:
     except TypeError:
         return []
     return [
-        Diagnostic("sort-mismatch", f"variable {name} used at two different sorts", path, span)
+        Diagnostic("sort-mismatch", f"variable {clip(name)} used at two different sorts", path, span)
         for name in names
     ]
 
@@ -322,7 +327,7 @@ def _diagnose_term(theory, term, expected: Sort | None, path, span) -> list[Diag
             out.append(
                 Diagnostic(
                     "sort-mismatch",
-                    f"{term.name} has sort {term.sort.name}, expected {expected.name}",
+                    f"{clip(term.name)} has sort {clip(term.sort.name)}, expected {clip(expected.name)}",
                     path,
                     span,
                 )
@@ -345,7 +350,7 @@ def _diagnose_term(theory, term, expected: Sort | None, path, span) -> list[Diag
             out.append(
                 Diagnostic(
                     "sort-mismatch",
-                    f"{sym.name} returns {sym.codomain.name}, expected {expected.name}",
+                    f"{clip(sym.name)} returns {clip(sym.codomain.name)}, expected {clip(expected.name)}",
                     path,
                     span,
                 )
@@ -363,11 +368,12 @@ def _diagnose_rewrite(theory, rule, path) -> list[Diagnostic]:
     if not out:
         extra = free_vars(rule.rhs) - free_vars(rule.lhs)
         if extra:
-            names = ", ".join(sorted(v.name for v in extra))
+            names = ", ".join(clip(name) for name in sorted(v.name for v in extra))
             out.append(Diagnostic("unknown-symbol", f"rewrite rhs introduces variables: {names}", path))
         ls, rs = _term_sort_shallow(rule.lhs), _term_sort_shallow(rule.rhs)
         if ls != rs:
-            out.append(Diagnostic("sort-mismatch", f"rewrite sides have sorts {ls.name} and {rs.name}", path))
+            sides = f"rewrite sides have sorts {clip(ls.name)} and {clip(rs.name)}"
+            out.append(Diagnostic("sort-mismatch", sides, path))
     return out
 
 

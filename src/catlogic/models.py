@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import _core
-from .boolalg import TruthAssignment, eval_formula, satisfying_assignments
+from .boolalg import eval_formula, letter_shifts, letter_values, satisfying_assignments
 from .errors import CapacityExceededError, SignatureMismatchError
 from .kernel import (
     Equation,
@@ -101,8 +101,12 @@ def check_model(theory: Theory, model: FiniteModel) -> bool:
     if model.theory != theory:
         raise SignatureMismatchError("model was built for a different theory")
     if theory.fragment is Fragment.PROP:
-        assignment = TruthAssignment(theory.letters, model.letter_values)
-        return all(eval_formula(ax, assignment) for ax in theory.axioms)
+        letters, values = theory.letters, model.letter_values
+        if len(values) != len(letters):
+            raise ValueError("letters and values differ in length")
+        shifts = letter_shifts(letters)
+        mask = sum(v << shifts[l] for l, v in zip(letters, values))
+        return all(eval_formula(ax, mask, shifts) for ax in theory.axioms)
     for ax in theory.axioms:
         assert isinstance(ax, Equation)
         variables = sorted(free_vars(ax), key=lambda v: v.name)
@@ -167,10 +171,8 @@ def enumerate_models(theory: Theory, size: int, prune: bool = True) -> list[Fini
     if size < 0:
         raise ValueError("size must be nonnegative")
     if theory.fragment is Fragment.PROP:
-        return [
-            FiniteModel(theory, letter_values=a.values)
-            for a in satisfying_assignments(theory)
-        ]
+        n, found = len(theory.letters), satisfying_assignments(theory)
+        return [FiniteModel(theory, letter_values=letter_values(m, n)) for m in found]
 
     cells = [size**f.arity for f in theory.functions]
     total_cells = sum(cells)

@@ -11,6 +11,8 @@ from catlogic.boolalg import (
     entails,
     eval_formula,
     free_boolean_algebra,
+    letter_shifts,
+    letter_values,
     lindenbaum_algebra,
     satisfying_assignments,
     verify_hom,
@@ -30,11 +32,11 @@ def letters_of(theory):
 class TestSatisfyingAssignments:
     def test_xor_pair(self, xor_pair):
         sats = satisfying_assignments(xor_pair)
-        assert [a.as_dict() for a in sats] == [{"x": 0, "y": 1}, {"x": 1, "y": 0}]
+        assert [dict(zip("xy", letter_values(m, 2))) for m in sats] == [{"x": 0, "y": 1}, {"x": 1, "y": 0}]
 
     def test_free_letter(self, prop_theories):
         sats = satisfying_assignments(prop_theories["FREE1"])
-        assert [a.values for a in sats] == [(0,), (1,)]
+        assert [letter_values(m, 1) for m in sats] == [(0,), (1,)]
 
     def test_inconsistent(self, prop_theories):
         assert satisfying_assignments(prop_theories["CONTRA"]) == []
@@ -45,7 +47,8 @@ class TestSatisfyingAssignments:
 
     def test_matches_oracle_on_corpus(self):
         for theory in theory_corpus(seed=424, count=60):
-            got = [a.as_dict() for a in satisfying_assignments(theory)]
+            n = len(theory.letters)
+            got = [dict(zip(theory.letters, letter_values(m, n))) for m in satisfying_assignments(theory)]
             want = [{k: int(v) for k, v in val.items()} for val in satisfying_valuations(theory)]
             assert got == want, theory
 
@@ -281,7 +284,15 @@ class TestShapeRecord:
 
 class TestEvalFormula:
     def test_rejects_equation(self, group_theory):
-        from catlogic.boolalg import TruthAssignment
-
         with pytest.raises(FragmentViolationError):
-            eval_formula(group_theory.axioms[0], TruthAssignment((), ()))
+            eval_formula(group_theory.axioms[0], 0, {})
+
+    def test_rejects_a_letter_outside_the_shifts(self, xor_pair):
+        with pytest.raises(UnknownSymbolError):
+            eval_formula(xor_pair.axioms[0], 0, letter_shifts(("x",)))
+
+
+class TestModelLayout:
+    @pytest.mark.parametrize("n", range(7))
+    def test_counting_order_is_lexicographic(self, n):
+        assert [letter_values(m, n) for m in range(1 << n)] == list(product((0, 1), repeat=n))

@@ -50,6 +50,10 @@ class TestCheckModel:
         assert check_model(xor_pair, sat)
         assert not check_model(xor_pair, unsat)
 
+    def test_prop_model_of_the_wrong_length(self, xor_pair):
+        with pytest.raises(ValueError):
+            check_model(xor_pair, FiniteModel(xor_pair, letter_values=(1,)))
+
     def test_signature_mismatch(self, group_theory, group_alt_theory, z2):
         with pytest.raises(SignatureMismatchError):
             check_model(group_alt_theory, z2)
