@@ -8,8 +8,9 @@ Workloads mirror the hot paths of the acceptance suite: free-group word
 reduction, the raw table scan (the model-count oracle), the pruned table
 search on both group presentations, 200 calls of each table kernel at n=2
 (the per-call set-up), powerset-hom verification, the Lindenbaum model walk
-of a 16-letter theory, one Lang/Syn adjunction check, and the `brain check`
-audit of an 8-neuron brain; the last two run their hom enumerations on the
+of a 16-letter theory, two Lang/Syn adjunction checks (one that samples
+its naturality squares, one that checks them all), and the `brain check`
+audit of an 8-neuron brain; the last three run their hom enumerations on the
 backend's hom kernels (the model walk runs the same Python on both). Each
 row prints the best of its runs; the adjunction check also prints its first
 run, which verifies each hom shape for the kernel pair.
@@ -137,6 +138,16 @@ def workloads():
     # and verifies each hom shape once for the backend's kernel pair, so
     # main prints it on a row of its own
     yield ADJUNCTION_ROW, run_adjunction, 3
+
+    # T-family exhaustive: 8 * 2**8 T-squares with 5 * 2 B-squares, every
+    # one checked
+    def run_adjunction_exhaustive(impl):
+        with hom_kernels(impl):
+            report = adjunction.check_adjunction(FiniteBooleanAlgebra(2), free3)
+        assert report.passed and report.naturality_checked == report.naturality_total == 2058
+        return report
+
+    yield "check_adjunction B=2 x Syn T=8", run_adjunction_exhaustive, 3
 
     # 64 ordered neuron pairs over 3 distinct algebras
     counts = (1, 2, 3, 1, 2, 3, 1, 2)

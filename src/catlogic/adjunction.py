@@ -13,11 +13,14 @@ Lang is covariant on homs: lang_hom(h: B' -> B) runs Lang(B') -> Lang(B) by
 conjugation with the canonical isomorphisms.
 
 transpose and untranspose are the plain maps across the bijection;
-check_adjunction verifies their round trip once per morphism and samples
-naturality triples by index (its docstring gives the order). Each naturality
-square's t . f and syn(t) . transpose(f) depend on (t, f) alone, so the check
-builds them once per (t, f) and reuses them for every (B', b); the squares,
-their order and the transpose_fn calls are those of a check without reuse.
+check_adjunction verifies their round trip once per morphism and checks
+naturality one variable at a time: a family of squares natural in B, then a
+family natural in T (its docstring gives the order, the ids and the sampling
+rule). A transformation between bifunctors is natural exactly when it is
+natural in each variable separately (Mac Lane, Categories for the Working
+Mathematician, II.3), so the two families together imply every joint square
+transpose(t . f . Lang b) = syn(t) . transpose(f) . b, at the cost of a sum
+of square counts rather than their product.
 lang keeps at most CACHE_SIZE diagram theories in an lru_cache keyed by
 algebra value. syn is the Lindenbaum algebra, which boolalg keeps in the
 theory's memo (kernel.Theory). Each algebra object's own memo
@@ -269,23 +272,37 @@ def check_adjunction(
 
     Enumerates THEORIES(Lang(B), T) and CATEGORIES(B, Syn(T)) by independent
     code paths, checks that transposition is a bijection with inverse
-    untransposition, and checks naturality squares
-    transpose(t . f . lang(b)) = syn(t) . transpose(f) . b over auxiliary
-    objects. Every left and right morphism is transposed once and its round
-    trip verified here; transpose itself does not re-verify.
+    untransposition, and checks naturality over auxiliary objects: B' of 1
+    then 2 atoms (AUX_ALGEBRAS), and T' being T (only while Syn(T) has at
+    most 2 atoms) then the empty theory AUX_THEORY. Every left and right
+    morphism is transposed once and its round trip verified here; transpose
+    itself does not re-verify.
 
-    Naturality triples are indexed in the nested order (B', b) x (T', t) x f:
-    B' of 1 then 2 atoms, T' being T (only while Syn(T) has at most 2 atoms)
-    then the empty theory, each hom list in enumeration order. At most 10**4
-    triples are all checked in index order; beyond that, 500 indices drawn by
-    random.Random(seed).randrange(total) are decoded in mixed radix.
+    Naturality is checked one variable at a time, in two families:
 
-    t . f and syn(t) . transpose(f) are composed once per (t, f), keyed by the
-    index's (T', t) x f remainder in a dict local to the call (at most
-    min(#t * #f, checked) entries), and reused for every (B', b). Squares are
-    still checked in index order with the same `nat:{idx}` ids, and
-    transpose_fn is called exactly left + right + naturality_checked times,
-    in the same order as without the reuse.
+    - in B: transpose(B', g . Lang b) = transpose(B, g) . b for every
+      b: B' -> B and every g: Lang(B) -> T', in the nested order
+      (B', b) x (T', g), each hom list in enumeration order. They are
+      all checked: lang stops at LANG_ATOM_BOUND atoms, so there are at
+      most 17 homs b and 20 morphisms g, 340 squares.
+    - in T: transpose(B, t . f) = syn(t) . transpose(B, f) for every
+      t: T -> T' and every left f, in the order (T', t) x f. Up to
+      NATURALITY_EXHAUSTIVE_LIMIT squares are all checked in that order;
+      beyond it, NATURALITY_SAMPLES indices drawn by
+      random.Random(seed).randrange(total) are decoded as (t, f).
+
+    If both families pass, every joint square passes: with g = t . f,
+    transpose(t . f . Lang b) = transpose(t . f) . b
+    = syn(t) . transpose(f) . b (Mac Lane, II.3). naturality_checked and
+    naturality_total are sums over both families. Squares get the ids
+    `nat:{idx}` in check order, B-family first, so each id is unique and
+    replayable; a counterexample names its `variable` ("B" or "T") and the
+    atom maps of its square.
+
+    Each g is transposed once, in a list local to the call: into T' = T the
+    g are the left morphisms, whose transposes are reused, and into
+    AUX_THEORY (Syn = 2) there are B.atom_count of them. So transpose_fn is
+    called exactly left + right + B.atom_count + naturality_checked times.
     """
     if transpose_fn is None:
         transpose_fn = transpose
@@ -335,44 +352,58 @@ def check_adjunction(
             round_trip_ok = False
             counterexamples.append({"id": f"rt:right:{j}", "kind": "round-trip", "side": "right", "index": j})
 
-    # Naturality: vary B through b: B' -> B and T through t: T -> T'.
-    # Keeping T as its own aux target is affordable only while its endo-hom
-    # set is small.
+    # Naturality, one variable at a time. Keeping T as its own aux target is
+    # affordable only while its endo-hom set is small.
     aux_theories = [T, AUX_THEORY] if synT.atom_count <= 2 else [AUX_THEORY]
     bs = [(Bp, b, lang_hom(b)) for Bp in AUX_ALGEBRAS for b in enumerate_homs(Bp, B)]
+    # every g: Lang(B) -> T' with its transpose; into T' = T these are left
+    gs: list[tuple[TheoryMorphism, BoolHom]] = []
+    for Tp in aux_theories:
+        if Tp is T:
+            gs.extend(zip(left, transposed))
+        else:
+            for h in enumerate_homs(synL, syn(Tp)):
+                g = TheoryMorphism(langB, Tp, h)
+                gs.append((g, transpose_fn(B, g)))
     ts = [TheoryMorphism(T, Tp, h) for Tp in aux_theories for h in enumerate_homs(synT, syn(Tp))]
-    total = len(bs) * len(ts) * len(left)
-    indices = range(total)
-    if total > NATURALITY_EXHAUSTIVE_LIMIT:
+    total_t = len(ts) * len(left)
+    indices = range(total_t)
+    if total_t > NATURALITY_EXHAUSTIVE_LIMIT:
         rng = random.Random(seed)
-        indices = [rng.randrange(total) for _ in range(NATURALITY_SAMPLES)]
+        indices = [rng.randrange(total_t) for _ in range(NATURALITY_SAMPLES)]
 
-    # t . f and syn(t) . transpose(f) depend on (t, f) alone, i.e. on the
-    # remainder `rest`: build them once and reuse them for every (B', b)
     naturality_ok = True
-    by_tf: dict[int, tuple[TheoryMorphism, BoolHom]] = {}
-    for idx, index in enumerate(indices):
-        ib, rest = divmod(index, len(ts) * len(left))
-        it, i = divmod(rest, len(left))
-        (Bp, b, lang_b), t, f = bs[ib], ts[it], left[i]
-        pair = by_tf.get(rest)
-        if pair is None:
-            pair = by_tf[rest] = (t.compose(f), t.hom.compose(transposed[i]))
-        tf, tg = pair
-        lhs = transpose_fn(Bp, tf.compose(lang_b))
-        rhs = tg.compose(b)
-        if lhs != rhs:
+    idx = 0
+    for Bp, b, lang_b in bs:
+        for g, tg in gs:
+            if transpose_fn(Bp, g.compose(lang_b)) != tg.compose(b):
+                naturality_ok = False
+                counterexamples.append(
+                    {
+                        "id": f"nat:{idx}",
+                        "kind": "naturality",
+                        "variable": "B",
+                        "b_atom_map": list(b.atom_map),
+                        "b_source_atoms": Bp.atom_count,
+                        "g_atom_map": list(g.hom.atom_map),
+                    }
+                )
+            idx += 1
+    for index in indices:
+        it, i = divmod(index, len(left))
+        t, f = ts[it], left[i]
+        if transpose_fn(B, t.compose(f)) != t.hom.compose(transposed[i]):
             naturality_ok = False
             counterexamples.append(
                 {
                     "id": f"nat:{idx}",
                     "kind": "naturality",
-                    "b_atom_map": list(b.atom_map),
-                    "b_source_atoms": Bp.atom_count,
+                    "variable": "T",
                     "t_atom_map": list(t.hom.atom_map),
                     "f_atom_map": list(f.hom.atom_map),
                 }
             )
+        idx += 1
 
     return AdjunctionReport(
         left_count=len(left),
@@ -382,8 +413,8 @@ def check_adjunction(
         bijection_ok=bijection_ok,
         round_trip_ok=round_trip_ok,
         naturality_ok=naturality_ok,
-        naturality_checked=len(indices),
-        naturality_total=total,
+        naturality_checked=idx,
+        naturality_total=len(bs) * len(gs) + total_t,
         seed=seed,
         counterexamples=counterexamples,
     )

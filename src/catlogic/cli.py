@@ -12,7 +12,8 @@ counterexample reproduces.
 
 Commands raise on bad input, and `main` alone maps it to exit 2: a
 `TheorySyntaxError` is reported as `syntax: ...`, any other `CatlogicError`
-or `OSError` by its message, each as one `error` line. A command catches an
+or `OSError` by its message (an `OSError`'s file name clipped), each as one
+`error` line. A command catches an
 error only where it is a verdict: an invalid theory in `check`, a capacity
 overrun in `models`, `adjoint` and `brain check`, a failed double dual in
 `stone`.
@@ -398,6 +399,14 @@ def _parse_init(graph, spec: str | None):
     return out
 
 
+def _int(text: str) -> int:
+    """argparse's int type, quoting a bad value clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catlogic",
@@ -420,24 +429,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_models)
     p.add_argument("path")
     p.add_argument("theory")
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=_int)
     p.add_argument("--no-prune", action="store_true", help="use the raw-scan oracle path")
 
     p = sub.add_parser("syn", help="syntactic category summary")
     p.set_defaults(run=cmd_syn)
     p.add_argument("path")
     p.add_argument("theory")
-    p.add_argument("--depth", type=int, default=3, help="term truncation depth")
-    p.add_argument("--samples", type=int, default=100, help="law-check sample count")
-    p.add_argument("--seed", type=int, default=adjunction.DEFAULT_SEED)
+    p.add_argument("--depth", type=_int, default=3, help="term truncation depth")
+    p.add_argument("--samples", type=_int, default=100, help="law-check sample count")
+    p.add_argument("--seed", type=_int, default=adjunction.DEFAULT_SEED)
     p.add_argument("--replay", metavar="ID")
 
     p = sub.add_parser("adjoint", help="hom-set bijection checks against seeded algebras")
     p.set_defaults(run=cmd_adjoint)
     p.add_argument("path")
     p.add_argument("theory")
-    p.add_argument("--atoms", type=int, default=1, help="letters of the free test algebra")
-    p.add_argument("--seed", type=int, default=adjunction.DEFAULT_SEED)
+    p.add_argument("--atoms", type=_int, default=1, help="letters of the free test algebra")
+    p.add_argument("--seed", type=_int, default=adjunction.DEFAULT_SEED)
     p.add_argument("--replay", metavar="ID", help="re-run and report one counterexample")
 
     p = sub.add_parser("brain", help="neuron-network commands")
@@ -445,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("check", help="validate a brain and audit the hom-set bijections")
     b.set_defaults(run=cmd_brain_check)
     b.add_argument("path")
-    b.add_argument("--seed", type=int, default=adjunction.DEFAULT_SEED)
+    b.add_argument("--seed", type=_int, default=adjunction.DEFAULT_SEED)
     b.add_argument("--replay", metavar="ID")
     b = bsub.add_parser("run", help="propagate states along Stone duals")
     b.set_defaults(run=cmd_brain_run)
     b.add_argument("path")
-    b.add_argument("--steps", type=int, default=1)
+    b.add_argument("--steps", type=_int, default=1)
     b.add_argument("--init", help="comma list like n1=0,n2=silent")
     b = bsub.add_parser("export", help="emit DOT")
     b.set_defaults(run=cmd_brain_export)
@@ -467,8 +476,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args, argv)
     except TheorySyntaxError as exc:
         message = f"syntax: {exc}"
-    except (CatlogicError, OSError) as exc:
+    except CatlogicError as exc:
         message = str(exc)
+    except OSError as exc:
+        message = str(exc)
+        if isinstance(exc.filename, str):
+            message = f"[Errno {exc.errno}] {exc.strerror}: {clip(exc.filename)!r}"
     _emit(
         {"command": argv, "version": __version__, "error": message},
         [f"error: {message}"],

@@ -206,105 +206,212 @@ class TestCheckAdjunction:
             rep = check_adjunction(B, theory, seed=99)
             assert rep.passed, (theory, B.atom_count, rep.counterexamples[:3])
 
-    def test_corrupted_transpose_fails(self, xor_pair):
-        def corrupt(B, f):
-            g = transpose(B, f)
-            if g.source.atom_count >= 2:
-                amap = list(g.atom_map)
-                if amap:
-                    amap[0] = (amap[0] + 1) % g.source.atom_count
-                return BoolHom(g.source, g.target, tuple(amap))
-            return g
+    @staticmethod
+    def _corrupt(B, f):
+        g = transpose(B, f)
+        if g.source.atom_count >= 2:
+            amap = list(g.atom_map)
+            if amap:
+                amap[0] = (amap[0] + 1) % g.source.atom_count
+            return BoolHom(g.source, g.target, tuple(amap))
+        return g
 
-        rep = check_adjunction(FiniteBooleanAlgebra(2), xor_pair, transpose_fn=corrupt)
+    def test_corrupted_transpose_fails(self, xor_pair):
+        rep = check_adjunction(FiniteBooleanAlgebra(2), xor_pair, transpose_fn=self._corrupt)
         assert not rep.passed
         assert rep.counterexamples
         ids = {c["id"] for c in rep.counterexamples}
         assert len(ids) == len(rep.counterexamples)  # replayable: unique ids
 
     @staticmethod
-    def _shift_at_three(A, f):
-        # corrupts every transpose into the 3-atom algebra, none into B'
+    def _shift_at(k):
+        # corrupts every transpose out of a k-atom algebra; out of 2 (k = 1)
+        # there is one hom, so that shift is the identity
+        def shift(A, f):
+            g = transpose(A, f)
+            if A.atom_count == k:
+                return BoolHom(g.source, g.target, tuple((i + 1) % k for i in g.atom_map))
+            return g
+
+        return shift
+
+    _shift_at_three = staticmethod(_shift_at(3))  # every transpose out of the 3-atom B, none out of B'
+
+    @staticmethod
+    def _one_atom_target(A, f):
+        # picks the wrong ultrafilter of A for every transpose into 2
         g = transpose(A, f)
-        if A.atom_count == 3:
-            return BoolHom(g.source, g.target, tuple((i + 1) % 3 for i in g.atom_map))
+        if g.target.atom_count == 1 and A.atom_count >= 2:
+            return BoolHom(g.source, g.target, ((g.atom_map[0] + 1) % A.atom_count,))
         return g
 
     @staticmethod
-    def _naturality_reference(B, theory, aux_theories, corrupt, indices):
-        # materialise every (B', b, t, f) triple and check each square at
-        # the given indices from scratch, with no reuse across triples
+    def _aux_theories(theory):
+        aux = Theory(name="AUX", fragment=Fragment.PROP)
+        return (theory, aux) if syn(theory).atom_count <= 2 else (aux,)
+
+    @classmethod
+    def _naturality_reference(cls, B, theory, corrupt):
+        # the joint squares transpose(t . f . Lang b) = syn(t) . transpose(f) . b,
+        # every (B', b, t, f) materialised and checked from scratch with no
+        # reuse; yields the failing ones in (B', b) x (T', t) x f order
         left = theory_morphisms(lang(B), theory)
         triples = [
             (Bp, b, t, f)
             for Bp in (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
             for b in enumerate_homs(Bp, B)
-            for Tp in aux_theories
+            for Tp in cls._aux_theories(theory)
             for t in theory_morphisms(theory, Tp)
             for f in left
         ]
-        expected = []
-        for idx, index in enumerate(indices(len(triples))):
-            Bp, b, t, f = triples[index]
+        for Bp, b, t, f in triples:
             lhs = corrupt(Bp, t.compose(f).compose(lang_hom(b)))
             rhs = t.hom.compose(corrupt(B, f)).compose(b)
             if lhs != rhs:
+                yield Bp, b, t, f
+
+    @classmethod
+    def _split_reference(cls, B, theory, corrupt, t_indices):
+        # both families materialised and checked from scratch with no reuse:
+        # every (B', b, g) square, then the (t, f) squares at t_indices
+        aux = cls._aux_theories(theory)
+        left = theory_morphisms(lang(B), theory)
+        b_squares = [
+            (Bp, b, g)
+            for Bp in (FiniteBooleanAlgebra(1), FiniteBooleanAlgebra(2))
+            for b in enumerate_homs(Bp, B)
+            for Tp in aux
+            for g in theory_morphisms(lang(B), Tp)
+        ]
+        t_squares = [(t, f) for Tp in aux for t in theory_morphisms(theory, Tp) for f in left]
+        expected = []
+        for idx, (Bp, b, g) in enumerate(b_squares):
+            if corrupt(Bp, g.compose(lang_hom(b))) != corrupt(B, g).compose(b):
                 expected.append(
                     {
                         "id": f"nat:{idx}",
                         "kind": "naturality",
+                        "variable": "B",
                         "b_atom_map": list(b.atom_map),
                         "b_source_atoms": Bp.atom_count,
+                        "g_atom_map": list(g.hom.atom_map),
+                    }
+                )
+        sampled = [t_squares[index] for index in t_indices(len(t_squares))]
+        for idx, (t, f) in enumerate(sampled, start=len(b_squares)):
+            if corrupt(B, t.compose(f)) != t.hom.compose(corrupt(B, f)):
+                expected.append(
+                    {
+                        "id": f"nat:{idx}",
+                        "kind": "naturality",
+                        "variable": "T",
                         "t_atom_map": list(t.hom.atom_map),
                         "f_atom_map": list(f.hom.atom_map),
                     }
                 )
-        return len(triples), expected
+        return len(b_squares) + len(t_squares), len(b_squares) + len(sampled), expected
+
+    @staticmethod
+    def _naturality_findings(rep):
+        return [c for c in rep.counterexamples if c["id"].startswith("nat:")]
 
     def test_exhaustive_naturality_matches_materialised_reference(self, xor_pair):
         B = FiniteBooleanAlgebra(3)
-        aux = Theory(name="AUX", fragment=Fragment.PROP)
-        rep = check_adjunction(B, xor_pair, transpose_fn=self._shift_at_three)
-        total, expected = self._naturality_reference(
-            B, xor_pair, (xor_pair, aux), self._shift_at_three, range
-        )
-        assert rep.naturality_total == total <= 10**4
-        assert rep.naturality_checked == total
-        assert expected
-        assert [c for c in rep.counterexamples if c["id"].startswith("nat:")] == expected
+        rep = check_adjunction(B, xor_pair, transpose_fn=self._one_atom_target)
+        total, checked, expected = self._split_reference(B, xor_pair, self._one_atom_target, range)
+        assert rep.naturality_total == rep.naturality_checked == total == checked == 162
+        assert {c["variable"] for c in expected} == {"B", "T"}
+        assert self._naturality_findings(rep) == expected
 
     def test_sampled_naturality_matches_materialised_reference(self):
-        (theory,) = parse_file(
-            "theory FIVE prop { letters x, y, z; axiom or(x, y); axiom not(and(x, and(y, z))); }"
-        )
+        # Syn T has 8 atoms: 8 * 3**8 T-squares, past the exhaustive limit
+        (theory,) = parse_file("theory FREE3 prop { letters x, y, z; }")
         B, seed = FiniteBooleanAlgebra(3), 41
-        assert syn(theory).atom_count == 5
+        assert syn(theory).atom_count == 8
 
-        rep = check_adjunction(B, theory, seed=seed, transpose_fn=self._shift_at_three)
+        rep = check_adjunction(B, theory, seed=seed, transpose_fn=self._one_atom_target)
 
         def sample(n):
+            assert n > 10**4
             rng = random.Random(seed)
             return [rng.randrange(n) for _ in range(500)]
 
-        aux = Theory(name="AUX", fragment=Fragment.PROP)
-        total, expected = self._naturality_reference(
-            B, theory, (aux,), self._shift_at_three, sample
-        )
-        assert rep.naturality_total == total == 10935
-        assert rep.naturality_checked == 500
-        assert expected
-        assert [c for c in rep.counterexamples if c["id"].startswith("nat:")] == expected
+        total, checked, expected = self._split_reference(B, theory, self._one_atom_target, sample)
+        assert rep.naturality_total == total == 27 + 8 * 3**8
+        assert rep.naturality_checked == checked == 27 + 500
+        assert {c["variable"] for c in expected} == {"B", "T"}
+        assert self._naturality_findings(rep) == expected
 
     def test_transpose_called_once_per_morphism_and_sample(self, xor_pair):
-        calls = []
+        # left + right + one per g: Lang(B) -> AUX + one per checked square
+        for B, T, calls_expected in [
+            (FiniteBooleanAlgebra(2), xor_pair, 4 + 4 + 2 + 5 * 6 + 6 * 4),
+            (FiniteBooleanAlgebra(3), lang(FiniteBooleanAlgebra(3)), 27 + 27 + 3 + 9 * 3 + 3 * 27),
+        ]:
+            calls = []
 
-        def counting(B, f):
-            calls.append(B)
-            return transpose(B, f)
+            def counting(A, f):
+                calls.append(A)
+                return transpose(A, f)
 
-        rep = check_adjunction(FiniteBooleanAlgebra(2), xor_pair, transpose_fn=counting)
+            rep = check_adjunction(B, T, transpose_fn=counting)
+            assert rep.passed
+            assert len(calls) == calls_expected
+            assert len(calls) == rep.left_count + rep.right_count + B.atom_count + rep.naturality_checked
+
+    def test_brain_pair_checks_108_squares(self):
+        rep = check_adjunction(FiniteBooleanAlgebra(3), lang(FiniteBooleanAlgebra(3)))
         assert rep.passed
-        assert len(calls) == rep.left_count + rep.right_count + rep.naturality_checked
+        assert rep.naturality_total == rep.naturality_checked == 9 * 3 + 3 * 27 == 108
+
+    def test_split_check_fails_wherever_the_joint_check_fails(self):
+        # Mac Lane II.3: natural in each variable implies natural jointly, so
+        # under any corruption a joint failure must show as a split failure
+        corruptions = [
+            self._corrupt,
+            *(self._shift_at(k) for k in (1, 2, 3, 4)),
+            self._one_atom_target,
+        ]
+        joint_failures = 0
+        for corrupt in corruptions:
+            for m in range(5):
+                for k in range(5):
+                    B, T = FiniteBooleanAlgebra(m), lang(FiniteBooleanAlgebra(k))
+                    if next(self._naturality_reference(B, T, corrupt), None) is None:
+                        continue
+                    joint_failures += 1
+                    rep = check_adjunction(B, T, transpose_fn=corrupt)
+                    assert not rep.naturality_ok, (corrupt, m, k)
+        assert joint_failures == 56
+
+    @staticmethod
+    def _mutated_compose(monkeypatch, source):
+        # a wrong composite for every theory morphism out of `source`
+        real = TheoryMorphism.compose
+
+        def compose(self, other):
+            r = real(self, other)
+            if self.source is not source or r.hom.source.atom_count < 2:
+                return r
+            n = r.hom.source.atom_count
+            hom = BoolHom(r.hom.source, r.hom.target, tuple((i + 1) % n for i in r.hom.atom_map))
+            return TheoryMorphism(r.source, r.target, hom)
+
+        monkeypatch.setattr(TheoryMorphism, "compose", compose)
+
+    @pytest.mark.parametrize("variable", ["B", "T"])
+    def test_a_family_only_mutation_is_reported_with_its_variable(self, monkeypatch, xor_pair, variable):
+        # Lang(B) is the source of the B-family's g . Lang b, T that of the
+        # T-family's t . f; nothing else composes theory morphisms
+        B = FiniteBooleanAlgebra(3)
+        self._mutated_compose(monkeypatch, lang(B) if variable == "B" else xor_pair)
+        rep = check_adjunction(B, xor_pair)
+        assert rep.bijection_ok and rep.round_trip_ok and not rep.naturality_ok
+        findings = self._naturality_findings(rep)
+        assert findings == rep.counterexamples
+        assert {c["variable"] for c in findings} == {variable}
+        b_total = 9 * (9 + 3)
+        assert all((int(c["id"][4:]) < b_total) == (variable == "B") for c in findings)
 
 
 def _fresh(text):

@@ -13,7 +13,10 @@ BRAIN_BAD = str(FIXTURES / "brain_bad_composite.brain")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -141,6 +144,8 @@ LONG_ECHO_ROWS = [
     ("theory-name", ("stone", PROPS, _LONG), 2),
     ("rewrite-variable", ("check", "{bad}/long_rewrite.thy"), 1),
     ("variable-at-two-sorts", ("check", "{bad}/long_conflict.thy"), 1),
+    ("int-argument", ("models", GROUP, "GROUP", _LONG), 2),
+    ("missing-path", ("check", "{bad}/" + "/".join(["z" * 200] * 4) + "/missing.thy"), 2),
 ]
 
 
